@@ -30,7 +30,8 @@ from .data import (DatasetSplit, brake_throttle_arrays, build_mixed_set,
 from .errors import (CheckpointError, DataError, DivergenceError, GraphError,
                      NumericError, ShapeError)
 from .graph import Model
-from .metrics import eval_classification, eval_regression, export_activations
+from .metrics import (eval_classification, eval_regression, export_activations,
+                      task_of)
 from .overlay import Prediction, render_sequence
 from .synth import synth_track_dataset
 from .train import (DEFAULT_FILTER_GRID, DEFAULT_STRIDE_GRID, TrainConfig,
@@ -85,16 +86,17 @@ def _load_split(args):
     _require_paths(args.manifest, args.telemetry, args.frames)
     membership, seed, dropped = read_manifest(args.manifest)
     crop = getattr(args, "crop", None)
-    return DatasetSplit(
-        train=load_pairs(membership["train"], args.telemetry, args.frames,
-                         args.image_size, crop),
-        validation=load_pairs(membership["val"], args.telemetry, args.frames,
-                              args.image_size, crop),
-        test=load_pairs(membership["test"], args.telemetry, args.frames,
-                        args.image_size, crop),
-        seed=seed,
-        dropped=dropped,
-    )
+    train, validation, test = (
+        load_pairs(membership[name], args.telemetry, args.frames, args.image_size, crop)
+        for name in ("train", "val", "test"))
+    return DatasetSplit(train, validation, test, seed=seed, dropped=dropped)
+
+
+def _selected_pairs(args):
+    """The pairs of the split named by --split."""
+    split = _load_split(args)
+    return {"train": split.train, "val": split.validation,
+            "test": split.test}[args.split]
 
 
 def _arrays_for(task, pairs):
@@ -135,7 +137,7 @@ def cmd_prep(args) -> int:
             raise DataError("prep needs --telemetry and --frames (or --synth N)")
         telemetry, frames = args.telemetry, args.frames
         _require_paths(telemetry, frames)
-    split, skipped, warnings = prep_corpus(telemetry, frames, args.seed, args.crop)
+    split, skipped, warnings = prep_corpus(telemetry, frames, args.seed)
     manifest = os.path.join(args.out, "manifest.tsv")
     write_manifest(manifest, split)
     print(f"{len(split.train)}/{len(split.validation)}/{len(split.test)}, "
@@ -183,18 +185,10 @@ def cmd_eval(args) -> int:
     _write_run_info(args.out, args)
     _require_paths(args.checkpoint)
     model = load_checkpoint(args.checkpoint)
-    split = _load_split(args)
-    pairs = {"train": split.train, "val": split.validation,
-             "test": split.test}[args.split]
-    task = {"softmax_head": "discrete", "clamp_scale": "real"}.get(
-        model.output_kind(), "brake_throttle")
-    inputs, targets = _arrays_for(task, pairs)
-    if task == "discrete":
-        report = eval_classification(model, inputs, targets, args.batch_size)
-    elif task == "real":
-        report = eval_regression(model, inputs, targets, args.batch_size)
-    else:
-        raise DataError("eval supports discrete and real checkpoints")
+    task = task_of(model)
+    inputs, targets = _arrays_for(task, _selected_pairs(args))
+    evaluate = eval_classification if task == "discrete" else eval_regression
+    report = evaluate(model, inputs, targets, args.batch_size)
     path = os.path.join(args.out, "report.txt")
     with open(path, "w") as fh:
         fh.write(f"# seed={args.seed} checkpoint={args.checkpoint} "
@@ -262,39 +256,33 @@ def cmd_augment(args) -> int:
 
 def cmd_render(args) -> int:
     _write_run_info(args.out, args)
-    split = _load_split(args)
-    pairs = {"train": split.train, "val": split.validation,
-             "test": split.test}[args.split]
+    pairs = _selected_pairs(args)
     if args.limit:
         pairs = pairs[: args.limit]
     predictions = None
     if args.checkpoint:
         _require_paths(args.checkpoint)
         model = load_checkpoint(args.checkpoint)
-        kind = model.output_kind()
-        predictions = []
-        for pair in pairs:
-            out = model.forward({"image": pair.image[None]}, mode="eval") \
-                if kind != "scaled_sigmoid" else model.forward(
-                    {"image": pair.image[None],
-                     "motor": np.array([[pair.record.left_motor_speed,
-                                         pair.record.right_motor_speed]],
-                                       dtype=np.float32)}, mode="eval")
-            if kind == "clamp_scale":
-                predictions.append(Prediction(steering=float(out[0, 0])))
-            elif kind == "softmax_head":
-                cls = int(out.argmax(axis=1)[0]) + 1
-                predictions.append(
-                    Prediction(steering={1: 30.0, 2: 0.0, 3: -30.0}[cls]))
-            else:
-                predictions.append(Prediction(brake=float(out[0, 0]),
-                                              throttle=float(out[0, 1])))
+        predictions = _predictions(model, pairs) if pairs else []
     frames_dir = os.path.join(args.out, "sim")
     paths = render_sequence(pairs, predictions, frames_dir)
     print(f"{len(paths)} overlay frames in {frames_dir}")
     print(f"stitch at the corpus rate of ~8 FPS, e.g.:\n"
           f"  ffmpeg -framerate 8 -i {frames_dir}/sim_%06d.ppm review.mp4")
     return EXIT_OK
+
+
+def _predictions(model, pairs) -> list[Prediction]:
+    """One eval forward over ``pairs``; class ids map to +30/0/-30 degrees."""
+    task = task_of(model)
+    inputs, _ = _arrays_for(task, pairs)
+    out = model.forward(inputs, mode="eval")
+    if task == "discrete":
+        steering = {1: 30.0, 2: 0.0, 3: -30.0}
+        return [Prediction(steering=steering[int(c) + 1]) for c in out.argmax(axis=1)]
+    if task == "real":
+        return [Prediction(steering=float(v)) for v in out[:, 0]]
+    return [Prediction(brake=float(b), throttle=float(t)) for b, t in out]
 
 
 def cmd_bench(args) -> int:
@@ -317,12 +305,7 @@ def cmd_activations(args) -> int:
     _write_run_info(args.out, args)
     _require_paths(args.checkpoint)
     model = load_checkpoint(args.checkpoint)
-    split = _load_split(args)
-    pairs = {"train": split.train, "val": split.validation,
-             "test": split.test}[args.split]
-    task = {"softmax_head": "discrete", "clamp_scale": "real"}.get(
-        model.output_kind(), "brake_throttle")
-    inputs, targets = _arrays_for(task, pairs)
+    inputs, targets = _arrays_for(task_of(model), _selected_pairs(args))
     path = os.path.join(args.out, "activations.tsv")
     rows = export_activations(model, inputs, targets, path,
                               layer=args.layer, batch_size=args.batch_size)
@@ -362,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames")
     p.add_argument("--synth", type=int, default=0, metavar="N")
     p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--crop", type=_parse_crop, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prep)

@@ -116,7 +116,7 @@ def read_manifest(path):
     return membership, seed, dropped
 
 
-def prep_corpus(telemetry_path, frames_dir, seed: int, crop=None):
+def prep_corpus(telemetry_path, frames_dir, seed: int):
     """parse -> scale -> pair -> split on an on-disk corpus.
 
     Returns (split, skipped row numbers, clamp warnings). Images are not

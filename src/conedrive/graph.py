@@ -3,9 +3,10 @@
 A ``ModelSpec`` is a DAG of ``LayerSpec`` nodes over named entry points
 ("image" and, for the brake/throttle network, "motor"). Shapes are inferred
 before execution; a ``Model`` instantiates one layer object per node with
-seeded parameters and runs topological-order forwards and reverse-order
-backwards. Nodes feeding several consumers receive the sum of the incoming
-gradients.
+seeded parameters, compiles the graph once into a flat plan, and runs
+plan-order forwards and reverse-order backwards. Nodes feeding several
+consumers receive the sum of the incoming gradients. Everything specific to
+a layer kind lives on its class in ``layers`` (see ``layers.LAYER_KINDS``).
 
 Specs serialize to a line-oriented text form used inside checkpoints::
 
@@ -28,20 +29,6 @@ from .tensor import DEFAULT_DTYPE
 
 TEXT_HEADER = "conedrive-model v1"
 
-# Hyper-parameter names, in canonical serialization order, per layer kind.
-KIND_HYPER: dict[str, tuple[tuple[str, type], ...]] = {
-    "conv": (("out_depth", int), ("kernel", int), ("stride", int)),
-    "batchnorm": (),
-    "relu": (),
-    "maxpool": (("window", int), ("stride", int)),
-    "flatten": (),
-    "linear": (("out_features", int),),
-    "clamp_scale": (("lo", float), ("hi", float)),
-    "scaled_sigmoid": (("scale", float),),
-    "softmax_head": (("classes", int),),
-    "concat": (),
-}
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -49,12 +36,12 @@ class LayerSpec:
     hyper: tuple[tuple[str, int | float], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KIND_HYPER:
+        if self.kind not in L.LAYER_KINDS:
             raise GraphError(
                 f"unknown layer kind '{self.kind}'; valid kinds: "
-                f"{sorted(KIND_HYPER)}"
+                f"{sorted(L.LAYER_KINDS)}"
             )
-        want = KIND_HYPER[self.kind]
+        want = self.layer_class.HYPER
         got = dict(self.hyper)
         if set(got) != {name for name, _ in want}:
             raise GraphError(
@@ -69,6 +56,10 @@ class LayerSpec:
             if name == key:
                 return value
         raise KeyError(key)
+
+    @property
+    def layer_class(self) -> type[L.Layer]:
+        return L.LAYER_KINDS[self.kind]
 
 
 def spec(kind: str, **hyper) -> LayerSpec:
@@ -102,27 +93,19 @@ class ModelSpec:
             raise GraphError("model has no nodes")
         if self.output not in set(node_names):
             raise GraphError(f"output node '{self.output}' is not defined")
-        known = set(input_names)
-        order = self.topo_order()
-        for node in order:
-            known.add(node.name)
+        self.topo_order()
         for node in self.nodes:
             if not node.inputs:
                 raise GraphError(f"node '{node.name}' has no inputs")
             arity = len(node.inputs)
-            if node.layer.kind == "concat":
+            if node.layer.layer_class.multi_input:
                 if arity < 2:
-                    raise GraphError(f"concat node '{node.name}' needs >= 2 inputs")
+                    raise GraphError(
+                        f"{node.layer.kind} node '{node.name}' needs >= 2 inputs")
             elif arity != 1:
                 raise GraphError(
                     f"node '{node.name}' ({node.layer.kind}) takes exactly one input"
                 )
-
-    def input_shape(self, name: str) -> tuple[int, ...]:
-        for n, shape in self.inputs:
-            if n == name:
-                return shape
-        raise GraphError(f"unknown graph input '{name}'")
 
     def topo_order(self) -> tuple[NodeSpec, ...]:
         """Kahn topological order; rejects cycles and unreachable nodes."""
@@ -157,26 +140,18 @@ class ModelSpec:
         shapes: dict[str, tuple[int, ...]] = dict(self.inputs)
         for node in self.topo_order():
             ins = [shapes[src] for src in node.inputs]
-            shapes[node.name] = _infer_node(node, ins)
+            shapes[node.name] = node.layer.layer_class.infer_shape(
+                node.name, dict(node.layer.hyper), ins)
         return shapes
 
     def parameter_count(self) -> int:
         """Closed-form trainable parameter count (running stats excluded)."""
         shapes = self.infer_shapes()
-        total = 0
-        for node in self.nodes:
-            kind = node.layer.kind
-            in_shape = shapes[node.inputs[0]]
-            if kind == "conv":
-                od, k = node.layer["out_depth"], node.layer["kernel"]
-                total += od * in_shape[0] * k * k + od
-            elif kind == "batchnorm":
-                total += 2 * in_shape[0]
-            elif kind == "linear":
-                total += node.layer["out_features"] * (in_shape[0] + 1)
-            elif kind == "softmax_head":
-                total += node.layer["classes"] * (in_shape[0] + 1)
-        return total
+        return sum(
+            node.layer.layer_class.param_count(
+                dict(node.layer.hyper), [shapes[src] for src in node.inputs])
+            for node in self.nodes
+        )
 
     def to_text(self) -> str:
         lines = [TEXT_HEADER]
@@ -215,11 +190,8 @@ class ModelSpec:
                     name, kind = tokens[1], tokens[2]
                     kv = dict(tok.split("=", 1) for tok in tokens[3:])
                     srcs = tuple(kv.pop("in").split(","))
-                    types = dict(KIND_HYPER.get(kind, ()))
-                    hyper = tuple(
-                        (key, types.get(key, float)(value)) for key, value in kv.items()
-                    )
-                    nodes.append(NodeSpec(name, LayerSpec(kind, hyper), srcs))
+                    # LayerSpec coerces the value strings to their declared types
+                    nodes.append(NodeSpec(name, LayerSpec(kind, tuple(kv.items())), srcs))
                 elif tag == "output":
                     output = tokens[1]
                 else:
@@ -231,88 +203,24 @@ class ModelSpec:
         return ModelSpec(tuple(inputs), tuple(nodes), output)
 
 
-def _infer_node(node: NodeSpec, ins: list[tuple[int, ...]]) -> tuple[int, ...]:
-    kind = node.layer.kind
-    first = ins[0]
+@dataclass(frozen=True)
+class PlanStep:
+    """One compiled node: its layer, where its inputs are read from, the value
+    slot it writes, and the batchless output shape inference promised."""
 
-    def need(ndim: int):
-        if len(first) != ndim:
-            raise GraphError(
-                f"node '{node.name}' ({kind}) expects a rank-{ndim} input, "
-                f"got shape {first}"
-            )
-
-    if kind == "conv":
-        need(3)
-        c, h, w = first
-        k, s = node.layer["kernel"], node.layer["stride"]
-        if k > h or k > w:
-            raise GraphError(
-                f"node '{node.name}': kernel {k}x{k} larger than input {h}x{w}"
-            )
-        return (node.layer["out_depth"], L.conv_out_extent(h, k, s),
-                L.conv_out_extent(w, k, s))
-    if kind == "batchnorm":
-        need(3)
-        return first
-    if kind == "maxpool":
-        need(3)
-        c, h, w = first
-        k, s = node.layer["window"], node.layer["stride"]
-        if k > h or k > w:
-            raise GraphError(
-                f"node '{node.name}': pool window {k}x{k} larger than input {h}x{w}"
-            )
-        return (c, L.conv_out_extent(h, k, s), L.conv_out_extent(w, k, s))
-    if kind in ("relu", "clamp_scale", "scaled_sigmoid"):
-        return first
-    if kind == "flatten":
-        return (int(np.prod(first)),)
-    if kind in ("linear", "softmax_head"):
-        need(1)
-        out = node.layer["out_features" if kind == "linear" else "classes"]
-        return (out,)
-    if kind == "concat":
-        for shape in ins:
-            if len(shape) != 1:
-                raise GraphError(
-                    f"node '{node.name}': concat expects flat inputs, got {shape}"
-                )
-        return (sum(shape[0] for shape in ins),)
-    raise GraphError(f"unknown layer kind '{kind}'")
-
-
-def _instantiate(node: NodeSpec, in_shapes: list[tuple[int, ...]],
-                 rng: np.random.Generator, dtype) -> L.Layer:
-    kind = node.layer.kind
-    first = in_shapes[0]
-    if kind == "conv":
-        return L.Conv2d(first[0], node.layer["out_depth"], node.layer["kernel"],
-                        node.layer["stride"], rng, dtype)
-    if kind == "batchnorm":
-        return L.BatchNorm2d(first[0], dtype=dtype)
-    if kind == "relu":
-        return L.ReLU()
-    if kind == "maxpool":
-        return L.MaxPool2d(node.layer["window"], node.layer["stride"])
-    if kind == "flatten":
-        return L.Flatten()
-    if kind == "linear":
-        return L.Linear(first[0], node.layer["out_features"], rng, dtype)
-    if kind == "softmax_head":
-        return L.SoftmaxHead(first[0], node.layer["classes"], rng, dtype)
-    if kind == "clamp_scale":
-        return L.ClampScale(node.layer["lo"], node.layer["hi"])
-    if kind == "scaled_sigmoid":
-        return L.ScaledSigmoid(node.layer["scale"])
-    if kind == "concat":
-        return L.Concat()
-    raise GraphError(f"unknown layer kind '{kind}'")
+    name: str
+    layer: L.Layer
+    srcs: tuple[int, ...]
+    slot: int
+    shape: tuple[int, ...]
+    multi_input: bool
 
 
 class Model:
     """An instantiated ModelSpec: seeded parameters plus execution state.
 
+    The spec compiles once into ``plan``: graph inputs hold value slots
+    0..k-1 in spec order, then each node in topological order the next one.
     A single instance must not run concurrent training-mode forwards (the
     per-layer caches are mutable); clones may run eval forwards in parallel.
     """
@@ -326,9 +234,21 @@ class Model:
         self.order = spec.topo_order()
         rng = np.random.default_rng(seed)
         self.layers: dict[str, L.Layer] = {}
+        self._slot = {name: i for i, (name, _) in enumerate(spec.inputs)}
+        plan = []
         for node in self.order:
             in_shapes = [self.shapes[src] for src in node.inputs]
-            self.layers[node.name] = _instantiate(node, in_shapes, rng, dtype)
+            cls = node.layer.layer_class
+            layer = cls.build(dict(node.layer.hyper), in_shapes, rng, dtype)
+            self.layers[node.name] = layer
+            self._slot[node.name] = len(self._slot)
+            plan.append(PlanStep(node.name, layer,
+                                 tuple(self._slot[src] for src in node.inputs),
+                                 self._slot[node.name], self.shapes[node.name],
+                                 cls.multi_input))
+        self.plan = tuple(plan)
+        self.output_node = next(n for n in self.order if n.name == spec.output)
+        self.output_kind = self.output_node.layer.kind
         self._trained_forward = False
 
     def parameters(self) -> list[tuple[str, "L.Param"]]:
@@ -341,16 +261,6 @@ class Model:
     def zero_grad(self) -> None:
         for _, p in self.parameters():
             p.zero_grad()
-
-    def output_kind(self) -> str:
-        by_name = {n.name: n for n in self.spec.nodes}
-        return by_name[self.output_node().name].layer.kind
-
-    def output_node(self) -> NodeSpec:
-        for node in self.spec.nodes:
-            if node.name == self.spec.output:
-                return node
-        raise GraphError("output node vanished")  # unreachable
 
     def node_names(self) -> list[str]:
         return [n.name for n in self.order]
@@ -384,12 +294,10 @@ class Model:
         return batch
 
     def forward(self, inputs, mode: str, capture: dict | None = None,
-                order: tuple[NodeSpec, ...] | None = None,
                 timings: dict[str, int] | None = None) -> np.ndarray:
         """Evaluate the graph; ``mode`` is 'train' or 'eval'.
 
         ``capture`` (a dict) collects copies of named node outputs.
-        ``order`` substitutes an alternative legal topological order.
         ``timings`` collects per-node wall-clock nanoseconds.
         """
         if mode not in ("train", "eval"):
@@ -402,43 +310,32 @@ class Model:
                 )
             inputs = {self.spec.inputs[0][0]: inputs}
         self._check_inputs(inputs)
-        run_order = self.order if order is None else self._validate_order(order)
-        values: dict[str, np.ndarray] = dict(inputs)
-        for node in run_order:
-            layer = self.layers[node.name]
-            args = [values[src] for src in node.inputs]
-            x = args if isinstance(layer, L.Concat) else args[0]
+        values: list = [None] * len(self._slot)
+        for name, arr in inputs.items():
+            values[self._slot[name]] = arr
+        for step in self.plan:
+            x = ([values[src] for src in step.srcs] if step.multi_input
+                 else values[step.srcs[0]])
             try:
                 if timings is not None:
                     t0 = perf_counter_ns()
-                    out = layer.forward(x, train)
-                    timings[node.name] = perf_counter_ns() - t0
+                    out = step.layer.forward(x, train)
+                    timings[step.name] = perf_counter_ns() - t0
                 else:
-                    out = layer.forward(x, train)
+                    out = step.layer.forward(x, train)
             except ShapeError as exc:
-                raise ShapeError(f"node '{node.name}': {exc}") from exc
-            expect = self.shapes[node.name]
-            if tuple(out.shape[1:]) != expect:
+                raise ShapeError(f"node '{step.name}': {exc}") from exc
+            if tuple(out.shape[1:]) != step.shape:
                 raise ShapeError(
-                    f"node '{node.name}' produced shape {out.shape}, "
-                    f"inference said (batch, {', '.join(str(d) for d in expect)})"
+                    f"node '{step.name}' produced shape {out.shape}, "
+                    f"inference said (batch, {', '.join(str(d) for d in step.shape)})"
                 )
-            values[node.name] = out
-            if capture is not None and node.name in capture:
-                capture[node.name] = out.copy()
+            values[step.slot] = out
+            if capture is not None and step.name in capture:
+                capture[step.name] = out.copy()
         self._trained_forward = train
         self._input_names = list(inputs)
-        return values[self.spec.output]
-
-    def _validate_order(self, order) -> tuple[NodeSpec, ...]:
-        if sorted(n.name for n in order) != sorted(n.name for n in self.order):
-            raise GraphError("alternative order must contain exactly the graph nodes")
-        ready = {name for name, _ in self.spec.inputs}
-        for node in order:
-            if not all(src in ready for src in node.inputs):
-                raise GraphError(f"order is not topological at node '{node.name}'")
-            ready.add(node.name)
-        return tuple(order)
+        return values[self._slot[self.spec.output]]
 
     def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse-topological gradient pass; returns gradients w.r.t. inputs.
@@ -447,20 +344,18 @@ class Model:
         """
         if not self._trained_forward:
             raise GraphError("backward requires a preceding training-mode forward")
-        grads: dict[str, np.ndarray] = {self.spec.output: grad_out}
-        for node in reversed(self.order):
-            g = grads.pop(node.name, None)
+        grads: list = [None] * len(self._slot)
+        grads[self._slot[self.spec.output]] = grad_out
+        for step in reversed(self.plan):
+            g = grads[step.slot]
             if g is None:
                 continue
-            layer = self.layers[node.name]
-            gi = layer.backward(g)
-            parts = gi if isinstance(layer, L.Concat) else [gi]
-            for src, part in zip(node.inputs, parts):
-                if src in grads:
-                    grads[src] = grads[src] + part
-                else:
-                    grads[src] = part
-        return {name: grads.get(name) for name in self._input_names}
+            grads[step.slot] = None
+            gi = step.layer.backward(g)
+            parts = gi if step.multi_input else [gi]
+            for src, part in zip(step.srcs, parts):
+                grads[src] = part if grads[src] is None else grads[src] + part
+        return {name: grads[self._slot[name]] for name in self._input_names}
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
         """(qualified name, tensor) pairs in topological order, for checkpoints."""

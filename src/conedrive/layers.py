@@ -9,6 +9,9 @@ without a preceding training-mode forward is rejected.
 Convolution is valid (no padding): output spatial extent is
 ``(H - k) // stride + 1``. Max-pool ties route the gradient to the first
 maximal element in row-major window order.
+
+Each graph layer kind is one class, registered by name in ``LAYER_KINDS``;
+the class alone knows its hyper-parameters, shapes and parameter count.
 """
 from __future__ import annotations
 
@@ -49,11 +52,54 @@ def col2im(cols: np.ndarray, x_shape: tuple, kernel: int, stride: int) -> np.nda
     return dx
 
 
+def _need_rank(node: str, kind: str, shape: tuple[int, ...], ndim: int) -> tuple[int, ...]:
+    if len(shape) != ndim:
+        raise GraphError(
+            f"node '{node}' ({kind}) expects a rank-{ndim} input, got shape {shape}"
+        )
+    return shape
+
+
+def _window_extent(node: str, kind: str, shape: tuple[int, ...], what: str,
+                   k: int, s: int) -> tuple[int, int, int]:
+    """(channels, out height, out width) of a k x k window sliding at stride s."""
+    c, h, w = _need_rank(node, kind, shape, 3)
+    if k > h or k > w:
+        raise GraphError(f"node '{node}': {what} {k}x{k} larger than input {h}x{w}")
+    return c, conv_out_extent(h, k, s), conv_out_extent(w, k, s)
+
+
 class Layer:
-    """Base class. Subclasses set ``self._cache`` on training forwards."""
+    """Base class. Subclasses set ``self._cache`` on training forwards.
+
+    ``kind`` names the class in specs; ``HYPER`` lists (name, type) of its
+    hyper-parameters in serialization order; a ``multi_input`` layer's
+    forward takes the list of its inputs and its backward returns a list.
+    """
+
+    kind = ""
+    HYPER: tuple[tuple[str, type], ...] = ()
+    multi_input = False
 
     def __init__(self):
         self._cache = None
+
+    @classmethod
+    def infer_shape(cls, node: str, hyper: dict, in_shapes: list[tuple[int, ...]]
+                    ) -> tuple[int, ...]:
+        """Batchless output shape for node ``node``; raises GraphError."""
+        return in_shapes[0]
+
+    @classmethod
+    def build(cls, hyper: dict, in_shapes: list[tuple[int, ...]],
+              rng: np.random.Generator, dtype) -> "Layer":
+        """A layer for these hyper-parameters and (batchless) input shapes."""
+        return cls(**hyper)
+
+    @classmethod
+    def param_count(cls, hyper: dict, in_shapes: list[tuple[int, ...]]) -> int:
+        """Trainable parameters (running statistics excluded)."""
+        return 0
 
     def params(self) -> list[Param]:
         return []
@@ -94,6 +140,25 @@ def _fan_in_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, dtype):
 
 class Conv2d(Layer):
     """Valid 2-D convolution, square kernel, no padding."""
+
+    kind = "conv"
+    HYPER = (("out_depth", int), ("kernel", int), ("stride", int))
+
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        _, ho, wo = _window_extent(node, cls.kind, in_shapes[0], "kernel",
+                                   hyper["kernel"], hyper["stride"])
+        return (hyper["out_depth"], ho, wo)
+
+    @classmethod
+    def build(cls, hyper, in_shapes, rng, dtype):
+        return cls(in_shapes[0][0], hyper["out_depth"], hyper["kernel"],
+                   hyper["stride"], rng, dtype)
+
+    @classmethod
+    def param_count(cls, hyper, in_shapes):
+        od, k = hyper["out_depth"], hyper["kernel"]
+        return od * in_shapes[0][0] * k * k + od
 
     def __init__(self, in_depth: int, out_depth: int, kernel: int, stride: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -148,6 +213,14 @@ class Conv2d(Layer):
 class MaxPool2d(Layer):
     """Max pooling; backward routes each window's gradient to its argmax."""
 
+    kind = "maxpool"
+    HYPER = (("window", int), ("stride", int))
+
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        return _window_extent(node, cls.kind, in_shapes[0], "pool window",
+                              hyper["window"], hyper["stride"])
+
     def __init__(self, window: int, stride: int):
         super().__init__()
         if window < 1 or stride < 1:
@@ -192,6 +265,20 @@ class BatchNorm2d(Layer):
     the running statistics. A degenerate batch (variance zero) is permitted:
     the variance clamps at eps.
     """
+
+    kind = "batchnorm"
+
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        return _need_rank(node, cls.kind, in_shapes[0], 3)
+
+    @classmethod
+    def build(cls, hyper, in_shapes, rng, dtype):
+        return cls(in_shapes[0][0], dtype=dtype)
+
+    @classmethod
+    def param_count(cls, hyper, in_shapes):
+        return 2 * in_shapes[0][0]
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
                  dtype=DEFAULT_DTYPE):
@@ -260,6 +347,28 @@ class BatchNorm2d(Layer):
 class Linear(Layer):
     """Affine map on flattened features: y = x W^T + b."""
 
+    kind = "linear"
+    HYPER = (("out_features", int),)
+
+    @staticmethod
+    def _width(hyper) -> int:
+        """The output width: out_features, or classes for the softmax head."""
+        (width,) = hyper.values()
+        return width
+
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        _need_rank(node, cls.kind, in_shapes[0], 1)
+        return (cls._width(hyper),)
+
+    @classmethod
+    def build(cls, hyper, in_shapes, rng, dtype):
+        return cls(in_shapes[0][0], cls._width(hyper), rng, dtype)
+
+    @classmethod
+    def param_count(cls, hyper, in_shapes):
+        return cls._width(hyper) * (in_shapes[0][0] + 1)
+
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
@@ -296,6 +405,9 @@ class SoftmaxHead(Linear):
     in probability queries, so the graph output stays in logit space.
     """
 
+    kind = "softmax_head"
+    HYPER = (("classes", int),)
+
     def __init__(self, in_features: int, classes: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         if classes < 2:
@@ -305,6 +417,8 @@ class SoftmaxHead(Linear):
 
 
 class ReLU(Layer):
+    kind = "relu"
+
     def forward(self, x, train):
         self._cache = (x > 0) if train else None
         return np.maximum(x, 0)
@@ -315,6 +429,12 @@ class ReLU(Layer):
 
 
 class Flatten(Layer):
+    kind = "flatten"
+
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        return (int(np.prod(in_shapes[0])),)
+
     def forward(self, x, train):
         self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
@@ -328,6 +448,9 @@ class ClampScale(Layer):
 
     Gradient is 1 strictly inside the interval and 0 at or beyond the bounds.
     """
+
+    kind = "clamp_scale"
+    HYPER = (("lo", float), ("hi", float))
 
     def __init__(self, lo: float, hi: float):
         super().__init__()
@@ -348,6 +471,9 @@ class ClampScale(Layer):
 class ScaledSigmoid(Layer):
     """scale * sigmoid(x); outputs lie in (0, scale) up to float saturation."""
 
+    kind = "scaled_sigmoid"
+    HYPER = (("scale", float),)
+
     def __init__(self, scale: float):
         super().__init__()
         if scale <= 0:
@@ -367,6 +493,18 @@ class ScaledSigmoid(Layer):
 class Concat(Layer):
     """Concatenate flattened feature blocks along the feature axis."""
 
+    kind = "concat"
+    multi_input = True
+
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        for shape in in_shapes:
+            if len(shape) != 1:
+                raise GraphError(
+                    f"node '{node}': {cls.kind} expects flat inputs, got {shape}"
+                )
+        return (sum(shape[0] for shape in in_shapes),)
+
     def forward(self, xs, train):
         if len(xs) < 2:
             raise ShapeError(f"concat needs at least two inputs, got {len(xs)}")
@@ -380,6 +518,13 @@ class Concat(Layer):
         widths = self._need_cache()
         splits = np.cumsum(widths)[:-1]
         return np.split(grad_out, splits, axis=1)
+
+
+LAYER_KINDS: dict[str, type[Layer]] = {
+    cls.kind: cls
+    for cls in (Conv2d, BatchNorm2d, ReLU, MaxPool2d, Flatten, Linear, ClampScale,
+                ScaledSigmoid, SoftmaxHead, Concat)
+}
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

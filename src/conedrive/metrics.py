@@ -65,12 +65,19 @@ class MetricsReport:
             lines.append(f"mean_batch_accuracy: {self.batch_accuracy:.6f}")
             lines.append(f"global_accuracy: {self.global_accuracy:.6f}")
         if self.mean_l1 is not None:
-            lines.append(f"mean_l1_degrees: {self.mean_l1:.6f}")
+            unit = "_degrees" if self.task == "real" else ""
+            lines.append(f"mean_l1{unit}: {self.mean_l1:.6f}")
         if self.confusion is not None:
             lines.append("confusion_matrix (rows true 1..3, cols predicted 1..3):")
             for row in self.confusion.counts:
                 lines.append("  " + " ".join(f"{v:8d}" for v in row))
         return "\n".join(lines) + "\n"
+
+
+def task_of(model: Model) -> str:
+    """The task a model's head serves: discrete, real or brake_throttle."""
+    return {"softmax_head": "discrete", "clamp_scale": "real"}.get(
+        model.output_kind, "brake_throttle")
 
 
 def _batched(inputs: dict[str, np.ndarray], targets: np.ndarray, batch_size: int):
@@ -85,16 +92,22 @@ def _batched(inputs: dict[str, np.ndarray], targets: np.ndarray, batch_size: int
         yield {name: arr[sl] for name, arr in inputs.items()}, targets[sl]
 
 
+def _report(model: Model, targets, batch_size: int, **figures) -> MetricsReport:
+    n = targets.shape[0]
+    batches = n // batch_size
+    return MetricsReport(task=task_of(model), batch_size=batch_size, batches=batches,
+                         frames_evaluated=batches * batch_size,
+                         frames_dropped=n - batches * batch_size, **figures)
+
+
 def eval_classification(model: Model, inputs, targets,
                         batch_size: int = 64) -> MetricsReport:
     """Accuracy and confusion matrix for a 3-class head, full batches only."""
-    if model.output_kind() != "softmax_head":
+    if model.output_kind != "softmax_head":
         raise GraphError(
             f"classification eval needs a softmax head, model ends in "
-            f"'{model.output_kind()}'"
+            f"'{model.output_kind}'"
         )
-    n = targets.shape[0]
-    batches = n // batch_size
     confusion = ConfusionMatrix()
     accs = []
     for xb, yb in _batched(inputs, targets, batch_size):
@@ -102,41 +115,28 @@ def eval_classification(model: Model, inputs, targets,
         pred = logits.argmax(axis=1) + 1
         accs.append(float(np.mean(pred == yb)))
         confusion.add(yb.astype(int), pred.astype(int))
-    return MetricsReport(
-        task="discrete",
-        batch_size=batch_size,
-        batches=batches,
-        frames_evaluated=batches * batch_size,
-        frames_dropped=n - batches * batch_size,
-        batch_accuracy=float(np.mean(accs)),
-        global_accuracy=confusion.accuracy,
-        confusion=confusion,
-    )
+    return _report(model, targets, batch_size, batch_accuracy=float(np.mean(accs)),
+                   global_accuracy=confusion.accuracy, confusion=confusion)
 
 
 def eval_regression(model: Model, inputs, targets,
                     batch_size: int = 64) -> MetricsReport:
-    """Mean absolute deviation in degrees over evaluated frames."""
-    if model.output_kind() != "clamp_scale":
+    """Mean absolute deviation over evaluated frames and output channels.
+
+    Any real-valued head qualifies: the clamped steering head (degrees) or
+    the scaled-sigmoid brake/throttle head (motor units).
+    """
+    if model.output_kind == "softmax_head":
         raise GraphError(
-            f"regression eval needs a clamped head, model ends in "
-            f"'{model.output_kind()}'"
+            "regression eval needs a real-valued head such as a clamped head, "
+            "model ends in 'softmax_head'"
         )
-    n = targets.shape[0]
-    batches = n // batch_size
     abs_sum, count = 0.0, 0
     for xb, yb in _batched(inputs, targets, batch_size):
         out = model.forward(xb, mode="eval")
         abs_sum += float(np.abs(out - yb).sum())
         count += yb.size
-    return MetricsReport(
-        task="real",
-        batch_size=batch_size,
-        batches=batches,
-        frames_evaluated=batches * batch_size,
-        frames_dropped=n - batches * batch_size,
-        mean_l1=abs_sum / count,
-    )
+    return _report(model, targets, batch_size, mean_l1=abs_sum / count)
 
 
 def predict_proba(model: Model, inputs) -> np.ndarray:
@@ -150,7 +150,7 @@ def default_activation_layer(model: Model) -> str:
                   and n.layer.kind == "relu"]
     if candidates:
         return candidates[-1].name
-    return model.output_node().inputs[0]
+    return model.output_node.inputs[0]
 
 
 def export_activations(model: Model, inputs, targets, path,

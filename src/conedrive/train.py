@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DivergenceError, GraphError
 from .graph import Model
 from .layers import smooth_l1, softmax_cross_entropy
+from .metrics import eval_classification, eval_regression
 from .zoo import expand_double_compressed, make_realvalue_model
 
 LOSS_KINDS = ("cross_entropy", "smooth_l1")
@@ -89,36 +90,6 @@ def _batch(arrays: dict[str, np.ndarray], idx: np.ndarray) -> dict[str, np.ndarr
     return {name: arr[idx] for name, arr in arrays.items()}
 
 
-def _val_metric(model: Model, inputs, targets, config: TrainConfig) -> float:
-    """Eval-mode validation over full batches only.
-
-    Classification reports mean per-batch accuracy; regression reports the
-    mean absolute deviation in degrees across evaluated frames.
-    """
-    n = targets.shape[0]
-    bs = config.batch_size
-    batches = n // bs
-    if batches == 0:
-        raise GraphError(
-            f"validation split of {n} frames yields no full batch of {bs}"
-        )
-    accs = []
-    abs_err_sum, count = 0.0, 0
-    for b in range(batches):
-        sl = slice(b * bs, (b + 1) * bs)
-        out = model.forward(_batch(inputs, sl), mode="eval")
-        yb = targets[sl]
-        if config.loss == "cross_entropy":
-            pred = out.argmax(axis=1) + 1
-            accs.append(float(np.mean(pred == yb)))
-        else:
-            abs_err_sum += float(np.abs(out - yb).sum())
-            count += yb.size
-    if config.loss == "cross_entropy":
-        return float(np.mean(accs))
-    return abs_err_sum / count
-
-
 def train(model: Model, train_data, val_data, config: TrainConfig,
           start_epoch: int = 0, log=None) -> TrainResult:
     """Train in place; returns the per-epoch history.
@@ -136,11 +107,12 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
         raise GraphError("train/validation splits must be non-empty")
     loss_fn = _loss_fn(config.loss)
     result = TrainResult(steps_per_epoch=n // config.batch_size)
-    if result.steps_per_epoch == 0:
-        raise GraphError(
-            f"training split of {n} frames yields no full batch of "
-            f"{config.batch_size}"
-        )
+    for split, frames in (("training", n), ("validation", val_targets.shape[0])):
+        if frames < config.batch_size:
+            raise GraphError(
+                f"{split} split of {frames} frames yields no full batch of "
+                f"{config.batch_size}"
+            )
     rng = np.random.default_rng(config.seed)
     for e in range(config.epochs):
         epoch = start_epoch + e
@@ -164,7 +136,12 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
             result.diverged = True
             result.divergence_reason = f"epoch {epoch}: {exc}"
             break
-        val = _val_metric(model, val_inputs, val_targets, config)
+        if config.loss == "cross_entropy":
+            val = eval_classification(model, val_inputs, val_targets,
+                                      config.batch_size).batch_accuracy
+        else:
+            val = eval_regression(model, val_inputs, val_targets,
+                                  config.batch_size).mean_l1
         stats = EpochStats(epoch, lr, float(np.mean(losses)), val,
                            time.perf_counter() - t0)
         result.history.append(stats)

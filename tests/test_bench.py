@@ -1,4 +1,6 @@
 """Latency harness: report structure and the layer-sum consistency bound."""
+from time import perf_counter_ns
+
 import numpy as np
 import pytest
 
@@ -44,12 +46,22 @@ def test_layer_sum_within_10_percent_at_full_scale():
 
 
 def test_submodel_is_faster_than_supermodel():
-    # 2CL-1FC = 1CL-1FC plus one conv block on the same 256x256 input
-    small = Model(make_discrete_model("1CL-1FC"), seed=0)
-    big = Model(make_discrete_model("2CL-1FC"), seed=0)
-    r_small = bench_forward(small, warmup=10, iters=100, seed=0)
-    r_big = bench_forward(big, warmup=10, iters=100, seed=0)
-    assert r_big.end_to_end_mean_ns > r_small.end_to_end_mean_ns
+    # 2CL-1FC = 1CL-1FC plus one conv block on the same 256x256 input. The
+    # gap (~15%) is below the per-call spread, so the two forwards alternate
+    # on every iteration (load drift hits both alike) and medians are
+    # compared (a few slow calls cannot move them).
+    models = [Model(make_discrete_model(name), seed=0)
+              for name in ("1CL-1FC", "2CL-1FC")]
+    x = np.random.default_rng(0).random((1, 3, 256, 256), dtype=np.float32)
+    times = [[], []]
+    for i in range(110):
+        for model, record in zip(models, times):
+            t0 = perf_counter_ns()
+            model.forward({"image": x}, mode="eval")
+            if i >= 10:  # warmup
+                record.append(perf_counter_ns() - t0)
+    small, big = (np.median(record) for record in times)
+    assert big > small
 
 
 def test_iters_floor_enforced():

@@ -2,13 +2,18 @@
 
 import pytest
 
-from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, main)
+from conedrive.checkpoint import save_checkpoint
+from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
+                           main)
 from conedrive.corpus import (prep_corpus, read_frames_index, read_manifest,
                               write_corpus, write_manifest)
 from conedrive.data import split_60_20_20
 from conedrive.errors import DataError
+from conedrive.graph import Model
 from conedrive.ppm import read_ppm
 from conedrive.synth import synth_track_dataset
+from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
+                           make_realvalue_model)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +143,43 @@ class TestCli:
                      "--out", str(acts_out)])
         assert code == EXIT_OK
         assert (acts_out / "activations.tsv").exists()
+
+    def test_prep_rejects_crop(self, tmp_path):
+        # prep reads timestamps only; --crop belongs to train/eval
+        with pytest.raises(SystemExit) as exc:
+            main(["prep", "--synth", "40", "--crop", "0,0,8,8",
+                  "--out", str(tmp_path / "p")])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_eval_brake_throttle_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "bt.ckpt"
+        save_checkpoint(Model(make_brake_throttle_model(input_hw=16), seed=0), ckpt)
+        out = tmp_path / "eval"
+        code = main(["eval", "--checkpoint", str(ckpt), "--synth", "40",
+                     "--image-size", "16", "--batch-size", "4", "--out", str(out)])
+        assert code == EXIT_OK
+        report = (out / "report.txt").read_text()
+        assert "task: brake_throttle" in report
+        assert "mean_l1: " in report and "degrees" not in report
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda: make_discrete_model("1CL-1FC", input_hw=256),
+        lambda: make_realvalue_model("3CL-2FC", input_hw=256),
+        lambda: make_brake_throttle_model(input_hw=256),
+    ], ids=["discrete", "real", "brake_throttle"])
+    def test_render_with_checkpoint(self, tmp_path, make_spec):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Model(make_spec(), seed=3), ckpt)
+        frames = {}
+        for name, extra in (("plain", []), ("pred", ["--checkpoint", str(ckpt)])):
+            code = main(["render", "--synth", "12", "--image-size", "256",
+                         "--limit", "2", *extra, "--out", str(tmp_path / name)])
+            assert code == EXIT_OK
+            frames[name] = sorted((tmp_path / name / "sim").iterdir())
+        assert [p.name for p in frames["pred"]] == ["sim_000001.ppm", "sim_000002.ppm"]
+        # the predicted state is drawn on top of the actual-only overlay
+        for plain, pred in zip(frames["plain"], frames["pred"]):
+            assert plain.read_bytes() != pred.read_bytes()
 
     def test_train_writes_seed_into_run_info(self, tmp_path):
         out = tmp_path / "run"

@@ -179,6 +179,18 @@ class TestTrainLoop:
         with pytest.raises(GraphError, match="non-empty"):
             train(model, empty, val_data, self.config())
 
+    def test_short_validation_split_rejected_before_any_step(self):
+        train_data, val_data = small_sets()
+        model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
+        before = [(name, value.copy()) for name, value in model.state_tensors()]
+        short_val = ({"image": val_data[0]["image"][:8]}, val_data[1][:8])
+        with pytest.raises(GraphError, match="validation split of 8 frames "
+                                             "yields no full batch of 16"):
+            train(model, train_data, short_val, self.config(batch_size=16))
+        assert model.epoch == 0
+        for (name, old), (_, new) in zip(before, model.state_tensors()):
+            np.testing.assert_array_equal(new, old, err_msg=name)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_halts_with_marker(self):
         train_data, val_data = small_sets()
