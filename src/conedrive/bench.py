@@ -9,6 +9,7 @@ layer, per FC layer, and so on.
 """
 from __future__ import annotations
 
+import os
 import platform
 import sys
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ class LatencyReport:
     layers: list[LayerTiming]
     end_to_end_mean_ns: float
     end_to_end_std_ns: float
+    end_to_end_median_ns: float
+    end_to_end_p90_ns: float
     warmup: int
     iters: int
     discarded: int
@@ -48,6 +51,8 @@ class LatencyReport:
             f"warmup: {self.warmup}  iters: {self.iters}  discarded: {self.discarded}",
             f"end_to_end_mean_ms: {self.end_to_end_mean_ns / 1e6:.4f}",
             f"end_to_end_std_ms: {self.end_to_end_std_ns / 1e6:.4f}",
+            f"end_to_end_median_ms: {self.end_to_end_median_ns / 1e6:.4f}",
+            f"end_to_end_p90_ms: {self.end_to_end_p90_ns / 1e6:.4f}",
             f"layer_sum_mean_ms: {self.layer_sum_ns / 1e6:.4f}",
             "mean added latency per layer kind (ms):",
         ]
@@ -61,9 +66,23 @@ class LatencyReport:
         return "\n".join(lines) + "\n"
 
 
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints its configuration
+        return "unknown"
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def hardware_description() -> str:
+    """Machine, interpreter, numpy, BLAS and the BLAS thread variables."""
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     return (f"{platform.machine()} {platform.processor() or 'cpu'}; "
-            f"python {sys.version.split()[0]}; numpy {np.__version__}")
+            f"python {sys.version.split()[0]}; numpy {np.__version__}; "
+            f"blas {_blas()}; {threads}")
 
 
 def bench_forward(model: Model, batch: int = 1, warmup: int = 50,
@@ -113,6 +132,8 @@ def bench_forward(model: Model, batch: int = 1, warmup: int = 50,
         layers=layers,
         end_to_end_mean_ns=float(np.mean(totals)),
         end_to_end_std_ns=float(np.std(totals)),
+        end_to_end_median_ns=float(np.median(totals)),
+        end_to_end_p90_ns=float(np.percentile(totals, 90)),
         warmup=warmup,
         iters=iters,
         discarded=discarded,

@@ -85,9 +85,9 @@ def _load_split(args):
         )
     _require_paths(args.manifest, args.telemetry, args.frames)
     membership, seed, dropped = read_manifest(args.manifest)
-    crop = getattr(args, "crop", None)
     train, validation, test = (
-        load_pairs(membership[name], args.telemetry, args.frames, args.image_size, crop)
+        load_pairs(membership[name], args.telemetry, args.frames, args.image_size,
+                   args.crop)
         for name in ("train", "val", "test"))
     return DatasetSplit(train, validation, test, seed=seed, dropped=dropped)
 
@@ -313,7 +313,7 @@ def cmd_activations(args) -> int:
     return EXIT_OK
 
 
-def _add_data_flags(p, with_crop=False):
+def _add_data_flags(p):
     p.add_argument("--synth", type=int, default=0, metavar="N",
                    help="generate an N-frame synthetic track dataset")
     p.add_argument("--manifest", help="dataset manifest from 'prep'")
@@ -321,9 +321,8 @@ def _add_data_flags(p, with_crop=False):
     p.add_argument("--frames", help="frames directory with sidecar index")
     p.add_argument("--image-size", type=int, default=64,
                    help="square image/network input size (default 64)")
-    if with_crop:
-        p.add_argument("--crop", type=_parse_crop, default=None,
-                       help="crop rectangle x0,y0,width,height")
+    p.add_argument("--crop", type=_parse_crop, default=None,
+                   help="crop rectangle x0,y0,width,height")
 
 
 def _add_train_flags(p):
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("train", help="train a controller network")
-    _add_data_flags(p, with_crop=True)
+    _add_data_flags(p)
     p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--arch", default="3CL-2FC")
     p.add_argument("--resume", help="checkpoint to continue from")
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    _add_data_flags(p, with_crop=True)
+    _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--batch-size", type=int, default=64)

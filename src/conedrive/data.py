@@ -270,14 +270,18 @@ def regression_arrays(pairs):
     return {"image": x}, y
 
 
+BRAKE_THROTTLE_CHANNELS = ("brake", "throttle")
+
+
 def brake_throttle_arrays(pairs):
     """(inputs, targets) arrays for the brake/throttle task; motor speeds are
-    the scaled (left, right) pair."""
+    the scaled (left, right) pair, target columns follow
+    ``BRAKE_THROTTLE_CHANNELS``."""
     x = np.stack([p.image for p in pairs]).astype(np.float32)
     motor = np.array(
         [[p.record.left_motor_speed, p.record.right_motor_speed] for p in pairs],
         dtype=np.float32,
     )
-    y = np.array([[p.record.brake, p.record.throttle] for p in pairs],
-                 dtype=np.float32)
+    y = np.array([[getattr(p.record, c) for c in BRAKE_THROTTLE_CHANNELS]
+                  for p in pairs], dtype=np.float32)
     return {"image": x, "motor": motor}, y

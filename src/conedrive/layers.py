@@ -7,8 +7,12 @@ returns the gradient with respect to the layer input. Calling ``backward``
 without a preceding training-mode forward is rejected.
 
 Convolution is valid (no padding): output spatial extent is
-``(H - k) // stride + 1``. Max-pool ties route the gradient to the first
-maximal element in row-major window order.
+``(H - k) // stride + 1``. Max-pool is a running ``np.maximum`` over the
+k*k strided slices of its input, one per window offset; its backward routes
+each window's gradient to the first maximal element in row-major window
+order. The sliding-window argmax it replaced is kept as
+``maxpool_forward_reference``/``maxpool_backward_reference``, the slow twins
+the property tests pin it to; nothing else calls them.
 
 Each graph layer kind is one class, registered by name in ``LAYER_KINDS``;
 the class alone knows its hyper-parameters, shapes and parameter count.
@@ -210,8 +214,26 @@ class Conv2d(Layer):
         return col2im(dcols, x_shape, self.kernel, self.stride)
 
 
+def _pool_offsets(k: int, s: int, ho: int, wo: int) -> list[tuple]:
+    """Index of the element at offset (di, dj) of every k x k window, for
+    each offset in row-major order; each selects an (ho, wo) strided grid."""
+    return [(slice(None), slice(None), slice(di, di + s * ho, s), slice(dj, dj + s * wo, s))
+            for di, dj in (divmod(idx, k) for idx in range(k * k))]
+
+
 class MaxPool2d(Layer):
-    """Max pooling; backward routes each window's gradient to its argmax."""
+    """Max pooling; backward routes each window's gradient to its maximum.
+
+    The forward is a running ``np.maximum`` over the k*k strided slices
+    ``x[:, :, di::s, dj::s]``, one per window offset; a window holding a NaN
+    yields NaN. The backward walks the offsets in row-major order and sends
+    each window's gradient to the first offset that equals the window's
+    maximum (or, in a NaN window, that is NaN), so ties go to the first
+    maximum. ``maxpool_forward_reference``/``maxpool_backward_reference``
+    are the sliding-window argmax twins the property tests pin this to; the
+    two agree exactly, except that a tie between +0.0 and -0.0 may keep
+    either sign. The training cache holds the input itself, not a copy.
+    """
 
     kind = "maxpool"
     HYPER = (("window", int), ("stride", int))
@@ -232,29 +254,59 @@ class MaxPool2d(Layer):
         if x.ndim != 4:
             raise ShapeError(f"maxpool expects a 4-D input, got shape {x.shape}")
         n, c, h, w = x.shape
-        k = self.window
+        k, s = self.window, self.stride
         if k > h or k > w:
             raise ShapeError(
                 f"maxpool window {k}x{k} larger than input spatial extent {h}x{w}"
             )
-        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        win = win[:, :, ::self.stride, ::self.stride]
-        flat = win.reshape(win.shape[:4] + (k * k,))
-        arg = flat.argmax(axis=-1)
-        out = flat.max(axis=-1)
-        self._cache = (x.shape, arg) if train else None
+        first, *rest = _pool_offsets(k, s, conv_out_extent(h, k, s),
+                                     conv_out_extent(w, k, s))
+        out = x[first].copy()
+        for at in rest:
+            np.maximum(out, x[at], out=out)
+        self._cache = (x, out) if train else None
         return out
 
     def backward(self, grad_out):
-        x_shape, arg = self._need_cache()
-        k, s = self.window, self.stride
-        ho, wo = arg.shape[2], arg.shape[3]
-        dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        for idx in range(k * k):
-            di, dj = divmod(idx, k)
-            contrib = np.where(arg == idx, grad_out, 0)
-            dx[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += contrib
+        x, out = self._need_cache()
+        offsets = _pool_offsets(self.window, self.stride, out.shape[2], out.shape[3])
+        dx = np.zeros(x.shape, dtype=grad_out.dtype)
+        free = np.ones(out.shape, dtype=bool)       # windows not yet routed
+        nan_windows = bool(np.isnan(out).any())
+        for at in offsets[:-1]:
+            hit = x[at] == out
+            if nan_windows:
+                hit |= np.isnan(x[at])
+            hit &= free
+            dx[at] += np.where(hit, grad_out, 0)
+            free &= ~hit
+        # a window still unrouted has its (first) maximum at the last offset
+        dx[offsets[-1]] += np.where(free, grad_out, 0)
         return dx
+
+
+def maxpool_forward_reference(x: np.ndarray, k: int, s: int):
+    """Slow twin of ``MaxPool2d.forward``: (output, row-major argmax of
+    each window) from a sliding-window view. Test-only."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::s, ::s]
+    flat = win.reshape(win.shape[:4] + (k * k,))
+    arg = flat.argmax(axis=-1)
+    out = flat.max(axis=-1)
+    return out, arg
+
+
+def maxpool_backward_reference(x_shape: tuple, arg: np.ndarray, grad: np.ndarray,
+                               k: int, s: int) -> np.ndarray:
+    """Slow twin of ``MaxPool2d.backward``: scatter ``grad`` to each
+    window's argmax from ``maxpool_forward_reference``. Test-only."""
+    ho, wo = arg.shape[2], arg.shape[3]
+    dx = np.zeros(x_shape, dtype=grad.dtype)
+    for idx in range(k * k):
+        di, dj = divmod(idx, k)
+        contrib = np.where(arg == idx, grad, 0)
+        dx[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += contrib
+    return dx
 
 
 class BatchNorm2d(Layer):

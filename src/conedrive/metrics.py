@@ -4,6 +4,12 @@ Evaluation walks a split in full batches only (the trailing partial batch is
 dropped and counted). The primary accuracy figure is the mean of per-batch
 accuracies; the global trace/sum accuracy is also reported and coincides
 with it whenever every batch is full.
+
+Reports are bit-reproducible at a fixed batch size only: the same frame
+forwarded alone and inside a larger batch can differ in the last float32
+bits (the BLAS matrix products of the fully connected layers sum in an
+order that depends on the batch shape), so compare eval outputs, and test a
+kernel against its reference, at equal batch shapes.
 """
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import BRAKE_THROTTLE_CHANNELS
 from .errors import DataError, GraphError
 from .graph import Model
 from .layers import softmax
@@ -51,6 +58,7 @@ class MetricsReport:
     batch_accuracy: float | None = None
     global_accuracy: float | None = None
     mean_l1: float | None = None
+    channel_l1: dict[str, float] | None = None
     confusion: ConfusionMatrix | None = None
 
     def to_text(self) -> str:
@@ -67,6 +75,8 @@ class MetricsReport:
         if self.mean_l1 is not None:
             unit = "_degrees" if self.task == "real" else ""
             lines.append(f"mean_l1{unit}: {self.mean_l1:.6f}")
+        for name, value in (self.channel_l1 or {}).items():
+            lines.append(f"mean_l1_{name}: {value:.6f}")
         if self.confusion is not None:
             lines.append("confusion_matrix (rows true 1..3, cols predicted 1..3):")
             for row in self.confusion.counts:
@@ -124,7 +134,8 @@ def eval_regression(model: Model, inputs, targets,
     """Mean absolute deviation over evaluated frames and output channels.
 
     Any real-valued head qualifies: the clamped steering head (degrees) or
-    the scaled-sigmoid brake/throttle head (motor units).
+    the scaled-sigmoid brake/throttle head (motor units), which also gets a
+    mean L1 per output channel.
     """
     if model.output_kind == "softmax_head":
         raise GraphError(
@@ -132,11 +143,19 @@ def eval_regression(model: Model, inputs, targets,
             "model ends in 'softmax_head'"
         )
     abs_sum, count = 0.0, 0
+    channel_sum = np.zeros(targets.shape[1])
     for xb, yb in _batched(inputs, targets, batch_size):
         out = model.forward(xb, mode="eval")
-        abs_sum += float(np.abs(out - yb).sum())
+        err = np.abs(out - yb)
+        abs_sum += float(err.sum())
         count += yb.size
-    return _report(model, targets, batch_size, mean_l1=abs_sum / count)
+        channel_sum += err.sum(axis=0)
+    channel_l1 = None
+    if task_of(model) == "brake_throttle":
+        frames = count // targets.shape[1]
+        channel_l1 = dict(zip(BRAKE_THROTTLE_CHANNELS, (channel_sum / frames).tolist()))
+    return _report(model, targets, batch_size, mean_l1=abs_sum / count,
+                   channel_l1=channel_l1)
 
 
 def predict_proba(model: Model, inputs) -> np.ndarray:

@@ -4,7 +4,7 @@ from time import perf_counter_ns
 import numpy as np
 import pytest
 
-from conedrive.bench import bench_forward, write_latency_report
+from conedrive.bench import bench_forward, hardware_description, write_latency_report
 from conedrive.graph import Model
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
                            make_realvalue_model)
@@ -85,6 +85,21 @@ def test_report_files(tmp_path, small_report):
     assert lines[0] == "node\tkind\tmean_ns\tstd_ns"
     assert lines[-1].startswith("end_to_end")
     assert len(lines) == 2 + len(report.layers)
+
+
+def test_report_adds_median_p90_and_numeric_environment(small_report, monkeypatch):
+    _, report = small_report
+    lines = report.to_text().splitlines()
+    at = lines.index(f"end_to_end_mean_ms: {report.end_to_end_mean_ns / 1e6:.4f}")
+    assert lines[at + 2] == \
+        f"end_to_end_median_ms: {report.end_to_end_median_ns / 1e6:.4f}"
+    assert lines[at + 3] == f"end_to_end_p90_ms: {report.end_to_end_p90_ns / 1e6:.4f}"
+    assert 0 < report.end_to_end_median_ns <= report.end_to_end_p90_ns
+    assert f"numpy {np.__version__}; blas " in report.hardware
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert hardware_description().endswith(
+        "; OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset")
 
 
 def test_brake_throttle_model_benches():

@@ -145,7 +145,7 @@ class TestCli:
         assert (acts_out / "activations.tsv").exists()
 
     def test_prep_rejects_crop(self, tmp_path):
-        # prep reads timestamps only; --crop belongs to train/eval
+        # prep reads timestamps only; --crop belongs to the frame-loading commands
         with pytest.raises(SystemExit) as exc:
             main(["prep", "--synth", "40", "--crop", "0,0,8,8",
                   "--out", str(tmp_path / "p")])
@@ -161,6 +161,37 @@ class TestCli:
         report = (out / "report.txt").read_text()
         assert "task: brake_throttle" in report
         assert "mean_l1: " in report and "degrees" not in report
+        l1 = dict(line.split(": ") for line in report.splitlines()
+                  if line.startswith("mean_l1"))
+        assert list(l1) == ["mean_l1", "mean_l1_brake", "mean_l1_throttle"]
+        both = (float(l1["mean_l1_brake"]) + float(l1["mean_l1_throttle"])) / 2
+        assert both == pytest.approx(float(l1["mean_l1"]), rel=1e-6)
+
+    def test_crop_reaches_render_and_activations(self, corpus_dir, tmp_path):
+        prep = tmp_path / "prep"
+        assert main(["prep", "--telemetry", str(corpus_dir / "telemetry.csv"),
+                     "--frames", str(corpus_dir / "frames"),
+                     "--out", str(prep)]) == EXIT_OK
+        drive = ["--manifest", str(prep / "manifest.tsv"),
+                 "--telemetry", str(corpus_dir / "telemetry.csv"),
+                 "--frames", str(corpus_dir / "frames")]
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
+        frames, acts = {}, {}
+        for name, crop in (("centre", []), ("corner", ["--crop", "0,0,16,16"])):
+            out = tmp_path / name
+            assert main(["render", *drive, *crop, "--image-size", "256",
+                         "--limit", "2", "--out", str(out / "render")]) == EXIT_OK
+            frames[name] = [p.read_bytes()
+                            for p in sorted((out / "render" / "sim").iterdir())]
+            assert main(["activations", *drive, *crop, "--checkpoint", str(ckpt),
+                         "--image-size", "16", "--batch-size", "4",
+                         "--out", str(out / "acts")]) == EXIT_OK
+            acts[name] = (out / "acts" / "activations.tsv").read_text()
+        assert len(frames["centre"]) == len(frames["corner"]) == 2
+        for centre, corner in zip(frames["centre"], frames["corner"]):
+            assert centre != corner
+        assert acts["centre"] != acts["corner"]
 
     @pytest.mark.parametrize("make_spec", [
         lambda: make_discrete_model("1CL-1FC", input_hw=256),

@@ -1,10 +1,14 @@
 """Layer forward semantics against hand values and brute-force oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedrive.errors import GraphError, NumericError, ShapeError
 from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
-                              MaxPool2d, ReLU, ScaledSigmoid, softmax)
+                              MaxPool2d, ReLU, ScaledSigmoid,
+                              maxpool_backward_reference, maxpool_forward_reference,
+                              softmax)
 from conedrive.tensor import Param, assert_finite
 
 
@@ -35,6 +39,28 @@ def maxpool_bruteforce(x, window, stride):
             out[:, :, i, j] = x[:, :, i * stride : i * stride + window,
                                 j * stride : j * stride + window].max(axis=(2, 3))
     return out
+
+
+@st.composite
+def pool_cases(draw):
+    """(x, window, stride, rng): integer-valued input (so windows tie), with
+    a drawn share of entries replaced by NaN or +-inf; every window/stride
+    pair in 1..3, so windows overlap (stride < window) or leave gaps."""
+    k = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+             draw(st.integers(k, 13)), draw(st.integers(k, 13)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-3, 4, size=shape).astype(dtype)
+    spots = rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    x[spots] = rng.choice([np.nan, np.inf, -np.inf], size=int(spots.sum()))
+    return x, k, s, rng
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
 
 
 def make_conv(in_depth, out_depth, kernel, stride, seed=0, dtype=np.float64):
@@ -143,6 +169,22 @@ class TestMaxPool:
         pool.forward(x, train=True)
         dx = pool.backward(np.array([[[[1.0]]]]))
         np.testing.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+    @given(pool_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_twins(self, case):
+        x, k, s, rng = case
+        want, arg = maxpool_forward_reference(x, k, s)
+        pool = MaxPool2d(k, s)
+        assert_same(pool.forward(x, train=False), want)
+        out = pool.forward(x, train=True)
+        assert_same(out, want)
+        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+        np.testing.assert_array_equal(
+            np.isnan(out), np.isnan(win[:, :, ::s, ::s]).any(axis=(4, 5)))
+        grad = rng.standard_normal(want.shape).astype(x.dtype)
+        assert_same(pool.backward(grad),
+                    maxpool_backward_reference(x.shape, arg, grad, k, s))
 
 
 class TestBatchNorm:
