@@ -33,6 +33,7 @@ class LatencyReport:
     layers: list[LayerTiming]
     end_to_end_mean_ns: float
     end_to_end_std_ns: float
+    end_to_end_p10_ns: float
     end_to_end_median_ns: float
     end_to_end_p90_ns: float
     warmup: int
@@ -51,6 +52,7 @@ class LatencyReport:
             f"warmup: {self.warmup}  iters: {self.iters}  discarded: {self.discarded}",
             f"end_to_end_mean_ms: {self.end_to_end_mean_ns / 1e6:.4f}",
             f"end_to_end_std_ms: {self.end_to_end_std_ns / 1e6:.4f}",
+            f"end_to_end_p10_ms: {self.end_to_end_p10_ns / 1e6:.4f}",
             f"end_to_end_median_ms: {self.end_to_end_median_ns / 1e6:.4f}",
             f"end_to_end_p90_ms: {self.end_to_end_p90_ns / 1e6:.4f}",
             f"layer_sum_mean_ms: {self.layer_sum_ns / 1e6:.4f}",
@@ -77,12 +79,13 @@ def _blas() -> str:
 
 
 def hardware_description() -> str:
-    """Machine, interpreter, numpy, BLAS and the BLAS thread variables."""
+    """Machine, interpreter, numpy, BLAS, the BLAS thread variables and the
+    CPU count."""
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     return (f"{platform.machine()} {platform.processor() or 'cpu'}; "
             f"python {sys.version.split()[0]}; numpy {np.__version__}; "
-            f"blas {_blas()}; {threads}")
+            f"blas {_blas()}; {threads}; cpus={os.cpu_count()}")
 
 
 def bench_forward(model: Model, batch: int = 1, warmup: int = 50,
@@ -132,6 +135,7 @@ def bench_forward(model: Model, batch: int = 1, warmup: int = 50,
         layers=layers,
         end_to_end_mean_ns=float(np.mean(totals)),
         end_to_end_std_ns=float(np.std(totals)),
+        end_to_end_p10_ns=float(np.percentile(totals, 10)),
         end_to_end_median_ns=float(np.median(totals)),
         end_to_end_p90_ns=float(np.percentile(totals, 90)),
         warmup=warmup,

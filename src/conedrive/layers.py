@@ -3,8 +3,10 @@
 Each layer owns its parameters and caches, on a training-mode forward,
 exactly what its backward pass needs. ``backward`` consumes the most recent
 training cache, accumulates parameter gradients via ``Param.add_grad`` and
-returns the gradient with respect to the layer input. Calling ``backward``
-without a preceding training-mode forward is rejected.
+returns the gradient with respect to the layer input. ``param_grads`` does
+the accumulation alone; the graph calls it instead of ``backward`` when
+nobody reads the input gradient (the first conv during training). Calling
+either without a preceding training-mode forward is rejected.
 
 Convolution is valid (no padding): output spatial extent is
 ``(H - k) // stride + 1``. Max-pool is a running ``np.maximum`` over the
@@ -12,7 +14,10 @@ k*k strided slices of its input, one per window offset; its backward routes
 each window's gradient to the first maximal element in row-major window
 order. The sliding-window argmax it replaced is kept as
 ``maxpool_forward_reference``/``maxpool_backward_reference``, the slow twins
-the property tests pin it to; nothing else calls them.
+the property tests pin it to; nothing else calls them. The conv weight
+gradient is one batched matmul over the im2col columns, summed over the
+batch; its ``tensordot`` predecessor is kept as the test-only twin
+``conv_weight_grad_reference``.
 
 Each graph layer kind is one class, registered by name in ``LAYER_KINDS``;
 the class alone knows its hyper-parameters, shapes and parameter count.
@@ -128,6 +133,11 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def param_grads(self, grad_out: np.ndarray) -> None:
+        """Accumulate parameter gradients only; the input gradient is not
+        wanted. This default runs ``backward`` and drops its result."""
+        self.backward(grad_out)
+
     def _need_cache(self):
         if self._cache is None:
             raise GraphError(
@@ -202,16 +212,30 @@ class Conv2d(Layer):
         self._cache = (x.shape, cols) if train else None
         return out
 
-    def backward(self, grad_out):
-        x_shape, cols = self._need_cache()
+    def param_grads(self, grad_out):
+        """dW as one batched matmul (n, od, P) x (n, P, C*k*k) summed over
+        the batch, reading ``cols`` in place; and db."""
+        _, cols = self._need_cache()
         n, od, ho, wo = grad_out.shape
         g = grad_out.reshape(n, od, ho * wo)
-        dw = np.tensordot(g, cols, axes=([0, 2], [0, 2]))
+        dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.add_grad(dw.reshape(self.weight.value.shape))
         self.bias.add_grad(grad_out.sum(axis=(0, 2, 3)))
+
+    def backward(self, grad_out):
+        self.param_grads(grad_out)
+        x_shape, _ = self._cache
+        n, od, ho, wo = grad_out.shape
         wmat = self.weight.value.reshape(od, -1)
-        dcols = np.matmul(wmat.T, g)
+        dcols = np.matmul(wmat.T, grad_out.reshape(n, od, ho * wo))
         return col2im(dcols, x_shape, self.kernel, self.stride)
+
+
+def conv_weight_grad_reference(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Slow twin of the weight gradient in ``Conv2d.param_grads``: (od, C*k*k)
+    from the (n, od, P) output gradient and (n, C*k*k, P) columns, via
+    ``tensordot`` (which copies the transposed columns first). Test-only."""
+    return np.tensordot(g, cols, axes=([0, 2], [0, 2]))
 
 
 def _pool_offsets(k: int, s: int, ho: int, wo: int) -> list[tuple]:

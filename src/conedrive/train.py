@@ -1,11 +1,14 @@
 """Batched SGD with exponential learning-rate decay, plus the grid search.
 
 The schedule is lr(e) = initial_lr * decay^e with decay 1/1.01 by default.
-Every epoch reshuffles the training set from a seeded generator, walks it
-in fixed-size batches (the final partial batch is dropped, in training and
-validation alike), takes one plain SGD step per batch, then measures the
-validation metric in eval mode. Identical (config, data, seed) reproduces
-identical history.
+Every epoch reshuffles the training set with a generator seeded from
+(seed, epoch), walks it in fixed-size batches (the final partial batch is
+dropped, in training and validation alike), takes one plain SGD step per
+batch, then measures the validation metric in eval mode. Identical (config,
+data, seed) reproduces identical history, and a run resumed from a
+checkpoint at epoch e continues exactly as an uninterrupted one would. The
+backward pass skips the gradient with respect to the graph inputs, which
+SGD never reads.
 """
 from __future__ import annotations
 
@@ -113,12 +116,11 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
                 f"{split} split of {frames} frames yields no full batch of "
                 f"{config.batch_size}"
             )
-    rng = np.random.default_rng(config.seed)
     for e in range(config.epochs):
         epoch = start_epoch + e
         lr = lr_at_epoch(config, epoch)
         t0 = time.perf_counter()
-        perm = rng.permutation(n)
+        perm = np.random.default_rng((config.seed, epoch)).permutation(n)
         losses = []
         try:
             for b in range(result.steps_per_epoch):
@@ -128,7 +130,7 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite training loss {loss!r}")
                 model.zero_grad()
-                model.backward(grad)
+                model.backward(grad, need_input_grads=False)
                 sgd_step(model, lr)
                 losses.append(loss)
                 result.steps += 1

@@ -1,4 +1,5 @@
 """Latency harness: report structure and the layer-sum consistency bound."""
+import os
 from time import perf_counter_ns
 
 import numpy as np
@@ -91,15 +92,18 @@ def test_report_adds_median_p90_and_numeric_environment(small_report, monkeypatc
     _, report = small_report
     lines = report.to_text().splitlines()
     at = lines.index(f"end_to_end_mean_ms: {report.end_to_end_mean_ns / 1e6:.4f}")
-    assert lines[at + 2] == \
+    assert lines[at + 2] == f"end_to_end_p10_ms: {report.end_to_end_p10_ns / 1e6:.4f}"
+    assert lines[at + 3] == \
         f"end_to_end_median_ms: {report.end_to_end_median_ns / 1e6:.4f}"
-    assert lines[at + 3] == f"end_to_end_p90_ms: {report.end_to_end_p90_ns / 1e6:.4f}"
-    assert 0 < report.end_to_end_median_ns <= report.end_to_end_p90_ns
+    assert lines[at + 4] == f"end_to_end_p90_ms: {report.end_to_end_p90_ns / 1e6:.4f}"
+    assert 0 < report.end_to_end_p10_ns <= report.end_to_end_median_ns \
+        <= report.end_to_end_p90_ns
     assert f"numpy {np.__version__}; blas " in report.hardware
+    assert report.hardware.endswith(f"; cpus={os.cpu_count()}")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert hardware_description().endswith(
-        "; OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset")
+        f"; OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset; cpus={os.cpu_count()}")
 
 
 def test_brake_throttle_model_benches():

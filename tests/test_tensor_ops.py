@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conedrive.errors import GraphError, NumericError, ShapeError
 from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
                               MaxPool2d, ReLU, ScaledSigmoid,
+                              conv_weight_grad_reference, im2col,
                               maxpool_backward_reference, maxpool_forward_reference,
                               softmax)
 from conedrive.tensor import Param, assert_finite
@@ -56,6 +57,23 @@ def pool_cases(draw):
     spots = rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))
     x[spots] = rng.choice([np.nan, np.inf, -np.inf], size=int(spots.sum()))
     return x, k, s, rng
+
+
+@st.composite
+def conv_cases(draw):
+    """(conv, x, grad_out): batch 1-4, in/out channels 1-3, kernel 1-5,
+    stride 1-3, H/W from the kernel to 13, float32 or float64."""
+    k = draw(st.integers(1, 5))
+    s = draw(st.integers(1, 3))
+    n, c, od = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                draw(st.integers(1, 3)))
+    h, w = draw(st.integers(k, 13)), draw(st.integers(k, 13))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conv = Conv2d(c, od, k, s, rng, dtype)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    out_shape = (n, od, (h - k) // s + 1, (w - k) // s + 1)
+    return conv, x, rng.standard_normal(out_shape).astype(dtype)
 
 
 def assert_same(got, want):
@@ -118,6 +136,29 @@ class TestConv2d:
         x = np.random.default_rng(7).standard_normal((1, 1, 6, 6))
         out = conv.forward(x, train=False)
         np.testing.assert_allclose(out[0, 0], x[0, 0, di : di + 4, dj : dj + 4])
+
+    @given(conv_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_weight_grad_matches_reference_twin(self, case):
+        conv, x, grad = case
+        n, od, ho, wo = grad.shape
+        conv.forward(x, train=True)
+        conv.param_grads(grad)
+        got = conv.weight.grad.reshape(od, -1)
+        g = grad.reshape(n, od, ho * wo)
+        cols = im2col(x, conv.kernel, conv.stride)
+        want = conv_weight_grad_reference(g, cols)
+        assert got.dtype == want.dtype == x.dtype
+        # the summation orders differ: allow a rounding per reduced term,
+        # relative to the sum of the terms' magnitudes
+        scale = conv_weight_grad_reference(np.abs(g), np.abs(cols)).max()
+        tol = 1e-12 if x.dtype == np.float64 else n * ho * wo * np.finfo(x.dtype).eps
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * scale)
+        np.testing.assert_array_equal(conv.bias.grad, grad.sum(axis=(0, 2, 3)))
+        # backward accumulates exactly what param_grads does
+        conv.weight.grad = conv.bias.grad = None
+        conv.backward(grad)
+        np.testing.assert_array_equal(conv.weight.grad.reshape(od, -1), got)
 
     def test_backward_requires_train_forward(self):
         conv = make_conv(1, 1, 3, 1)

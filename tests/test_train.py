@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from conedrive import layers
+from conedrive.checkpoint import load_checkpoint, save_checkpoint
 from conedrive.data import classification_arrays, regression_arrays
 from conedrive.errors import DivergenceError, GraphError
 from conedrive.graph import Model
@@ -208,6 +210,64 @@ class TestTrainLoop:
                        start_epoch=10)
         assert result.history[0].epoch == 10
         assert result.history[0].lr == pytest.approx(0.001 * (1 / 1.01) ** 10)
+
+    def test_resume_equals_continuous_run(self, tmp_path):
+        train_data, val_data = small_sets()
+
+        def history(result):
+            return [(s.epoch, s.lr, s.train_loss, s.val_metric) for s in result.history]
+
+        straight = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=4)
+        whole = train(straight, train_data, val_data, self.config(epochs=4, seed=2))
+        first = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=4)
+        head = train(first, train_data, val_data, self.config(epochs=2, seed=2))
+        path = tmp_path / "half.ckpt"
+        save_checkpoint(first, path)
+        resumed = load_checkpoint(path)
+        assert resumed.epoch == 2
+        tail = train(resumed, train_data, val_data, self.config(epochs=2, seed=2),
+                     start_epoch=resumed.epoch)
+        assert history(head) + history(tail) == history(whole)
+        for (name, want), (_, got) in zip(straight.state_tensors(),
+                                          resumed.state_tensors()):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_each_epoch_reshuffles_the_whole_split(self):
+        train_data, val_data = small_sets()
+        model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
+        row_of = {x.tobytes(): i for i, x in enumerate(train_data[0]["image"])}
+        order = []
+        forward = model.forward
+
+        def recorded(inputs, mode, **kwargs):
+            if mode == "train":
+                order.extend(row_of[x.tobytes()] for x in inputs["image"])
+            return forward(inputs, mode, **kwargs)
+
+        model.forward = recorded
+        train(model, train_data, val_data, self.config(epochs=2))
+        first, second = order[:20], order[20:]
+        assert sorted(first) == sorted(second) == list(range(20))
+        assert first != second
+
+    def test_training_never_computes_the_image_gradient(self, monkeypatch):
+        train_data, val_data = small_sets()
+        calls = []
+        col2im = layers.col2im
+
+        def counted(*args):
+            calls.append(args[1])
+            return col2im(*args)
+
+        monkeypatch.setattr(layers, "col2im", counted)
+        model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
+        result = train(model, train_data, val_data, self.config())
+        assert result.steps == 12 and not calls
+        # the counter does see the default backward, which returns the image
+        # gradient through col2im
+        model.forward({"image": train_data[0]["image"][:2]}, mode="train")
+        model.backward(np.ones((2, 3), dtype=np.float32))
+        assert calls == [(2, 3, 16, 16)]
 
     def test_history_file_roundtrip(self, tmp_path):
         train_data, val_data = small_sets()
