@@ -8,12 +8,6 @@ plan-order forwards and reverse-order backwards. Nodes feeding several
 consumers receive the sum of the incoming gradients. Everything specific to
 a layer kind lives on its class in ``layers`` (see ``layers.LAYER_KINDS``).
 
-``Model.backward`` by default returns the gradients with respect to the
-graph inputs, which the gradient checker needs. Training passes
-``need_input_grads=False``: a plan step that reads only graph inputs (the
-first conv of every zoo net) then runs just ``layer.param_grads``, so the
-image gradient, which SGD never reads, is not computed.
-
 Specs serialize to a line-oriented text form used inside checkpoints::
 
     conedrive-model v1
@@ -212,8 +206,7 @@ class ModelSpec:
 @dataclass(frozen=True)
 class PlanStep:
     """One compiled node: its layer, where its inputs are read from, the value
-    slot it writes, the batchless output shape inference promised, and
-    whether every source is a graph input (``reads_only_inputs``)."""
+    slot it writes, and the batchless output shape inference promised."""
 
     name: str
     layer: L.Layer
@@ -221,7 +214,6 @@ class PlanStep:
     slot: int
     shape: tuple[int, ...]
     multi_input: bool
-    reads_only_inputs: bool
 
 
 class Model:
@@ -249,11 +241,11 @@ class Model:
             cls = node.layer.layer_class
             layer = cls.build(dict(node.layer.hyper), in_shapes, rng, dtype)
             self.layers[node.name] = layer
-            srcs = tuple(self._slot[src] for src in node.inputs)
             self._slot[node.name] = len(self._slot)
-            plan.append(PlanStep(node.name, layer, srcs, self._slot[node.name],
-                                 self.shapes[node.name], cls.multi_input,
-                                 all(src < len(spec.inputs) for src in srcs)))
+            plan.append(PlanStep(node.name, layer,
+                                 tuple(self._slot[src] for src in node.inputs),
+                                 self._slot[node.name], self.shapes[node.name],
+                                 cls.multi_input))
         self.plan = tuple(plan)
         self.output_node = next(n for n in self.order if n.name == spec.output)
         self.output_kind = self.output_node.layer.kind
@@ -345,15 +337,10 @@ class Model:
         self._input_names = list(inputs)
         return values[self._slot[self.spec.output]]
 
-    def backward(self, grad_out: np.ndarray, need_input_grads: bool = True,
-                 timings: dict[str, int] | None = None) -> dict[str, np.ndarray]:
+    def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse-topological gradient pass; returns gradients w.r.t. inputs.
 
         Parameter gradients accumulate into each layer's ``Param.grad``.
-        With ``need_input_grads=False`` the steps that read only graph inputs
-        accumulate their parameter gradients alone (``layer.param_grads``)
-        and an empty dict is returned. ``timings`` collects per-node
-        wall-clock nanoseconds.
         """
         if not self._trained_forward:
             raise GraphError("backward requires a preceding training-mode forward")
@@ -364,19 +351,10 @@ class Model:
             if g is None:
                 continue
             grads[step.slot] = None
-            t0 = perf_counter_ns()
-            if step.reads_only_inputs and not need_input_grads:
-                step.layer.param_grads(g)
-                parts = ()
-            else:
-                gi = step.layer.backward(g)
-                parts = gi if step.multi_input else [gi]
-            if timings is not None:
-                timings[step.name] = perf_counter_ns() - t0
+            gi = step.layer.backward(g)
+            parts = gi if step.multi_input else [gi]
             for src, part in zip(step.srcs, parts):
                 grads[src] = part if grads[src] is None else grads[src] + part
-        if not need_input_grads:
-            return {}
         return {name: grads[self._slot[name]] for name in self._input_names}
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:

@@ -3,10 +3,8 @@
 Each layer owns its parameters and caches, on a training-mode forward,
 exactly what its backward pass needs. ``backward`` consumes the most recent
 training cache, accumulates parameter gradients via ``Param.add_grad`` and
-returns the gradient with respect to the layer input. ``param_grads`` does
-the accumulation alone; the graph calls it instead of ``backward`` when
-nobody reads the input gradient (the first conv during training). Calling
-either without a preceding training-mode forward is rejected.
+returns the gradient with respect to the layer input. Calling ``backward``
+without a preceding training-mode forward is rejected.
 
 Convolution is valid (no padding): output spatial extent is
 ``(H - k) // stride + 1``. Max-pool is a running ``np.maximum`` over the
@@ -133,11 +131,6 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def param_grads(self, grad_out: np.ndarray) -> None:
-        """Accumulate parameter gradients only; the input gradient is not
-        wanted. This default runs ``backward`` and drops its result."""
-        self.backward(grad_out)
-
     def _need_cache(self):
         if self._cache is None:
             raise GraphError(
@@ -212,27 +205,22 @@ class Conv2d(Layer):
         self._cache = (x.shape, cols) if train else None
         return out
 
-    def param_grads(self, grad_out):
-        """dW as one batched matmul (n, od, P) x (n, P, C*k*k) summed over
-        the batch, reading ``cols`` in place; and db."""
-        _, cols = self._need_cache()
+    def backward(self, grad_out):
+        x_shape, cols = self._need_cache()
         n, od, ho, wo = grad_out.shape
         g = grad_out.reshape(n, od, ho * wo)
+        # dW: one batched matmul (n, od, P) x (n, P, C*k*k) summed over the
+        # batch, which reads ``cols`` in place
         dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.add_grad(dw.reshape(self.weight.value.shape))
         self.bias.add_grad(grad_out.sum(axis=(0, 2, 3)))
-
-    def backward(self, grad_out):
-        self.param_grads(grad_out)
-        x_shape, _ = self._cache
-        n, od, ho, wo = grad_out.shape
         wmat = self.weight.value.reshape(od, -1)
-        dcols = np.matmul(wmat.T, grad_out.reshape(n, od, ho * wo))
+        dcols = np.matmul(wmat.T, g)
         return col2im(dcols, x_shape, self.kernel, self.stride)
 
 
 def conv_weight_grad_reference(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Slow twin of the weight gradient in ``Conv2d.param_grads``: (od, C*k*k)
+    """Slow twin of the weight gradient in ``Conv2d.backward``: (od, C*k*k)
     from the (n, od, P) output gradient and (n, C*k*k, P) columns, via
     ``tensordot`` (which copies the transposed columns first). Test-only."""
     return np.tensordot(g, cols, axes=([0, 2], [0, 2]))

@@ -6,9 +6,7 @@ Every epoch reshuffles the training set with a generator seeded from
 dropped, in training and validation alike), takes one plain SGD step per
 batch, then measures the validation metric in eval mode. Identical (config,
 data, seed) reproduces identical history, and a run resumed from a
-checkpoint at epoch e continues exactly as an uninterrupted one would. The
-backward pass skips the gradient with respect to the graph inputs, which
-SGD never reads.
+checkpoint at epoch e continues exactly as an uninterrupted one would.
 """
 from __future__ import annotations
 
@@ -130,7 +128,7 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite training loss {loss!r}")
                 model.zero_grad()
-                model.backward(grad, need_input_grads=False)
+                model.backward(grad)
                 sgd_step(model, lr)
                 losses.append(loss)
                 result.steps += 1

@@ -253,70 +253,6 @@ class TestBackward:
                                    rtol=1e-12)
 
 
-def zoo_backward_pair(name, spec_, seed):
-    """Two same-seed float32 models of ``spec_`` after one identical
-    training forward, plus a random output gradient."""
-    rng = np.random.default_rng(seed)
-    inputs = {key: rng.standard_normal((3,) + shape).astype(np.float32)
-              for key, shape in spec_.inputs}
-    models = [Model(spec_, seed=seed) for _ in range(2)]
-    outs = [m.forward(inputs, mode="train") for m in models]
-    np.testing.assert_array_equal(outs[0], outs[1], err_msg=name)
-    return models, rng.standard_normal(outs[0].shape).astype(np.float32)
-
-
-ZOO_SMALL = [(hw, name) for hw in (16, 32) for name in zoo_specs(hw)]
-
-
-class TestTrainingBackward:
-    @pytest.mark.parametrize("hw,name", ZOO_SMALL)
-    def test_only_the_first_conv_reads_only_graph_inputs(self, hw, name):
-        model = Model(zoo_specs(hw)[name], seed=0)
-        assert [s.name for s in model.plan if s.reads_only_inputs] == ["conv1"]
-
-    @pytest.mark.parametrize("hw,name", ZOO_SMALL)
-    def test_skipping_input_grads_leaves_param_grads_bit_identical(self, hw, name):
-        (full, lean), grad = zoo_backward_pair(name, zoo_specs(hw)[name], seed=hw)
-        for model in (full, lean):
-            model.zero_grad()
-        input_grads = full.backward(grad)
-        assert set(input_grads) == {key for key, _ in full.spec.inputs}
-        assert lean.backward(grad, need_input_grads=False) == {}
-        for (node, want), (_, got) in zip(full.parameters(), lean.parameters()):
-            assert got.grad.dtype == want.grad.dtype
-            np.testing.assert_array_equal(got.grad, want.grad,
-                                          err_msg=f"{node}.{got.name}")
-
-    @pytest.mark.parametrize("need_input_grads", [True, False])
-    def test_timings_cover_every_node(self, need_input_grads):
-        for spec_ in (tiny_dag(), make_brake_throttle_model(input_hw=32)):
-            (model, _), grad = zoo_backward_pair("timings", spec_, seed=0)
-            timings: dict[str, int] = {}
-            model.backward(grad, need_input_grads=need_input_grads, timings=timings)
-            assert set(timings) == set(model.node_names())
-            assert all(isinstance(v, int) and v >= 0 for v in timings.values())
-
-    def test_grad_check_still_gets_the_image_gradient(self):
-        model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0,
-                      dtype=np.float64)
-        returned = []
-        backward = model.backward
-
-        def recorded(grad_out, *args, **kwargs):
-            returned.append(backward(grad_out, *args, **kwargs))
-            return returned[-1]
-
-        model.backward = recorded
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 3, 16, 16))
-        y = rng.integers(1, 4, 2)
-        err = grad_check_model(model, {"image": x},
-                               lambda o: softmax_cross_entropy(o, y), max_coords=10)
-        assert err < 1e-4
-        assert len(returned) == 1 and returned[0]["image"].shape == x.shape
-        assert np.abs(returned[0]["image"]).max() > 0
-
-
 class TestEndToEndGradients:
     @pytest.mark.parametrize("name", DISCRETE_NAMES)
     def test_discrete_miniatures(self, name):

@@ -143,7 +143,7 @@ class TestConv2d:
         conv, x, grad = case
         n, od, ho, wo = grad.shape
         conv.forward(x, train=True)
-        conv.param_grads(grad)
+        conv.backward(grad)
         got = conv.weight.grad.reshape(od, -1)
         g = grad.reshape(n, od, ho * wo)
         cols = im2col(x, conv.kernel, conv.stride)
@@ -155,10 +155,6 @@ class TestConv2d:
         tol = 1e-12 if x.dtype == np.float64 else n * ho * wo * np.finfo(x.dtype).eps
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol * scale)
         np.testing.assert_array_equal(conv.bias.grad, grad.sum(axis=(0, 2, 3)))
-        # backward accumulates exactly what param_grads does
-        conv.weight.grad = conv.bias.grad = None
-        conv.backward(grad)
-        np.testing.assert_array_equal(conv.weight.grad.reshape(od, -1), got)
 
     def test_backward_requires_train_forward(self):
         conv = make_conv(1, 1, 3, 1)

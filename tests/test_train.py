@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from conedrive import layers
 from conedrive.checkpoint import load_checkpoint, save_checkpoint
 from conedrive.data import classification_arrays, regression_arrays
 from conedrive.errors import DivergenceError, GraphError
@@ -249,25 +248,6 @@ class TestTrainLoop:
         first, second = order[:20], order[20:]
         assert sorted(first) == sorted(second) == list(range(20))
         assert first != second
-
-    def test_training_never_computes_the_image_gradient(self, monkeypatch):
-        train_data, val_data = small_sets()
-        calls = []
-        col2im = layers.col2im
-
-        def counted(*args):
-            calls.append(args[1])
-            return col2im(*args)
-
-        monkeypatch.setattr(layers, "col2im", counted)
-        model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
-        result = train(model, train_data, val_data, self.config())
-        assert result.steps == 12 and not calls
-        # the counter does see the default backward, which returns the image
-        # gradient through col2im
-        model.forward({"image": train_data[0]["image"][:2]}, mode="train")
-        model.backward(np.ones((2, 3), dtype=np.float32))
-        assert calls == [(2, 3, 16, 16)]
 
     def test_history_file_roundtrip(self, tmp_path):
         train_data, val_data = small_sets()
