@@ -1,11 +1,12 @@
 """Single-frame forward-latency measurement with per-node accounting.
 
 Each iteration times every graph node and the whole forward pass with the
-monotonic clock; warmup iterations are excluded. The input tensor is built
-once before the loop, so timing never includes input preparation. The
-measurement loop is strictly single-threaded; run it on an otherwise idle
-machine. Per-layer-kind aggregation reports the mean added latency per conv
-layer, per FC layer, and so on.
+monotonic clock; warmup iterations are excluded. Every input is a batch of
+one frame, the controller's serving shape, built once before the loop, so
+timing never includes input preparation. The measurement loop is strictly
+single-threaded; run it on an otherwise idle machine. Per-layer-kind
+aggregation reports the mean added latency per conv layer, per FC layer,
+and so on.
 """
 from __future__ import annotations
 
@@ -88,9 +89,10 @@ def hardware_description() -> str:
             f"blas {_blas()}; {threads}; cpus={os.cpu_count()}")
 
 
-def bench_forward(model: Model, batch: int = 1, warmup: int = 50,
-                  iters: int = 1000, seed: int = 0) -> LatencyReport:
-    """Measure eval-mode forward latency; returns per-node and end-to-end stats.
+def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,
+                  seed: int = 0) -> LatencyReport:
+    """Measure single-frame eval-mode forward latency; returns per-node and
+    end-to-end stats.
 
     Iterations whose clock readings come out non-monotonic (elapsed < 0) are
     discarded and counted.
@@ -99,7 +101,7 @@ def bench_forward(model: Model, batch: int = 1, warmup: int = 50,
         raise ValueError(f"iters must be >= 100, got {iters}")
     rng = np.random.default_rng(seed)
     inputs = {
-        name: rng.random((batch,) + shape, dtype=np.float32)
+        name: rng.random((1,) + shape, dtype=np.float32)
         for name, shape in model.spec.inputs
     }
     node_names = model.node_names()

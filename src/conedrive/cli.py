@@ -1,12 +1,14 @@
 """Command-line entry point wiring the modules into reproducible workflows.
 
-Every subcommand writes a reproducibility stanza (run_info.txt: argv, seed,
-versions) next to its outputs and exits with a category-specific code:
+Every subcommand takes --seed and --out, writes a reproducibility stanza
+(run_info.txt: argv, seed, versions) into --out before it runs, and exits
+with a category-specific code:
 
     0  success
     2  usage or configuration error
     3  referenced input path not found
-    4  malformed input (telemetry, image, manifest, checkpoint, model text)
+    4  malformed input (telemetry, image, manifest, checkpoint, model text,
+       or a directory where a file belongs)
     5  runtime failure (training divergence, non-finite values)
 
 A flat key=value config file may supply any flag of the chosen subcommand
@@ -66,8 +68,6 @@ def _require_paths(*paths) -> None:
 
 
 def _parse_crop(text):
-    if text is None:
-        return None
     parts = [int(v) for v in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("crop must be x0,y0,width,height")
@@ -117,6 +117,12 @@ def _build_model(task, arch, image_size, seed):
     return Model(spec, seed=seed)
 
 
+def _load_model(path) -> Model:
+    """The model saved at ``path`` (--checkpoint or --resume)."""
+    _require_paths(path)
+    return load_checkpoint(path)
+
+
 def _train_config(args, loss):
     return TrainConfig(initial_lr=args.lr, decay=args.decay,
                        batch_size=args.batch_size, epochs=args.epochs,
@@ -124,7 +130,6 @@ def _train_config(args, loss):
 
 
 def cmd_prep(args) -> int:
-    _write_run_info(args.out, args)
     if args.synth:
         corpus_dir = os.path.join(args.out, "corpus")
         pairs = synth_track_dataset(args.synth, args.image_size, args.seed)
@@ -152,21 +157,23 @@ def cmd_prep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _write_run_info(args.out, args)
-    split = _load_split(args)
-    loss = "cross_entropy" if args.task == "discrete" else "smooth_l1"
-    config = _train_config(args, loss)
     if args.resume:
-        _require_paths(args.resume)
-        model = load_checkpoint(args.resume)
-        start_epoch = model.epoch
-    else:
+        model = _load_model(args.resume)
+    elif args.task:
         model = _build_model(args.task, args.arch, args.image_size, args.seed)
-        start_epoch = 0
-    train_data = _arrays_for(args.task, split.train)
-    val_data = _arrays_for(args.task, split.validation)
+    else:
+        raise ValueError("train needs --task, or --resume with a checkpoint")
+    task = task_of(model)
+    if args.task not in (None, task):
+        raise ValueError(f"--task {args.task} disagrees with the {task} head "
+                         f"of checkpoint {args.resume}")
+    split = _load_split(args)
+    loss = "cross_entropy" if task == "discrete" else "smooth_l1"
+    config = _train_config(args, loss)
+    train_data = _arrays_for(task, split.train)
+    val_data = _arrays_for(task, split.validation)
     metric = "val_acc" if loss == "cross_entropy" else "val_l1"
-    result = train(model, train_data, val_data, config, start_epoch=start_epoch,
+    result = train(model, train_data, val_data, config, start_epoch=model.epoch,
                    log=lambda s: print(
                        f"epoch {s.epoch}: lr={s.lr:.6f} train_loss={s.train_loss:.5f} "
                        f"{metric}={s.val_metric:.5f} ({s.seconds:.1f}s)"))
@@ -182,9 +189,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _write_run_info(args.out, args)
-    _require_paths(args.checkpoint)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_model(args.checkpoint)
     task = task_of(model)
     inputs, targets = _arrays_for(task, _selected_pairs(args))
     evaluate = eval_classification if task == "discrete" else eval_regression
@@ -200,13 +205,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    _write_run_info(args.out, args)
     split = _load_split(args)
     config = _train_config(args, "smooth_l1")
-    filter_sets = _parse_grid(args.filters) if args.filters else DEFAULT_FILTER_GRID
-    stride_sets = _parse_grid(args.strides) if args.strides else DEFAULT_STRIDE_GRID
     results = grid_search(
-        args.arch, filter_sets, stride_sets, config,
+        args.arch, args.filters, args.strides, config,
         _arrays_for("real", split.train), _arrays_for("real", split.validation),
         input_hw=args.image_size,
         log=lambda r: print(f"filters={r.filters} strides={r.strides} "
@@ -235,7 +237,6 @@ def _parse_grid(text):
 
 
 def cmd_augment(args) -> int:
-    _write_run_info(args.out, args)
     split = _load_split(args)
     pairs = split.train
     rng = np.random.default_rng(args.seed)
@@ -255,14 +256,12 @@ def cmd_augment(args) -> int:
 
 
 def cmd_render(args) -> int:
-    _write_run_info(args.out, args)
     pairs = _selected_pairs(args)
     if args.limit:
         pairs = pairs[: args.limit]
     predictions = None
     if args.checkpoint:
-        _require_paths(args.checkpoint)
-        model = load_checkpoint(args.checkpoint)
+        model = _load_model(args.checkpoint)
         predictions = _predictions(model, pairs) if pairs else []
     frames_dir = os.path.join(args.out, "sim")
     paths = render_sequence(pairs, predictions, frames_dir)
@@ -286,10 +285,8 @@ def _predictions(model, pairs) -> list[Prediction]:
 
 
 def cmd_bench(args) -> int:
-    _write_run_info(args.out, args)
     if args.checkpoint:
-        _require_paths(args.checkpoint)
-        model = load_checkpoint(args.checkpoint)
+        model = _load_model(args.checkpoint)
     else:
         model = _build_model(args.task, args.arch, args.image_size, args.seed)
     report = bench_forward(model, warmup=args.warmup, iters=args.iters,
@@ -302,9 +299,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_activations(args) -> int:
-    _write_run_info(args.out, args)
-    _require_paths(args.checkpoint)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_model(args.checkpoint)
     inputs, targets = _arrays_for(task_of(model), _selected_pairs(args))
     path = os.path.join(args.out, "activations.tsv")
     rows = export_activations(model, inputs, targets, path,
@@ -332,6 +327,15 @@ def _add_train_flags(p):
     p.add_argument("--epochs", type=int, default=100)
 
 
+def _command(sub, name, func, help):
+    """A subcommand parser with the flags every command shares."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conedrive",
@@ -339,45 +343,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prep", help="parse, scale, pair, split; write manifest")
+    p = _command(sub, "prep", cmd_prep, "parse, scale, pair, split; write manifest")
     p.add_argument("--telemetry")
     p.add_argument("--frames")
     p.add_argument("--synth", type=int, default=0, metavar="N")
     p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_prep)
 
-    p = sub.add_parser("train", help="train a controller network")
+    p = _command(sub, "train", cmd_train, "train a controller network")
     _add_data_flags(p)
-    p.add_argument("--task", choices=TASKS, required=True)
+    p.add_argument("--task", choices=TASKS,
+                   help="required unless --resume gives a checkpoint, whose "
+                        "task is used")
     p.add_argument("--arch", default="3CL-2FC")
     p.add_argument("--resume", help="checkpoint to continue from")
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
+    p = _command(sub, "eval", cmd_eval, "evaluate a checkpoint on a split")
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gridsearch", help="filter/stride grid over full runs")
+    p = _command(sub, "gridsearch", cmd_gridsearch, "filter/stride grid over full runs")
     _add_data_flags(p)
     p.add_argument("--arch", default="4CL-3FC")
-    p.add_argument("--filters", help="compressed pairs, e.g. '7,5;5,5;5,3;3,3'")
-    p.add_argument("--strides", help="compressed pairs, e.g. '2,1;2,2'")
+    p.add_argument("--filters", type=_parse_grid, default=DEFAULT_FILTER_GRID,
+                   help="compressed pairs (default '7,5;5,5;5,3;3,3')")
+    p.add_argument("--strides", type=_parse_grid, default=DEFAULT_STRIDE_GRID,
+                   help="compressed pairs (default '2,1;2,2')")
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gridsearch)
 
-    p = sub.add_parser("augment", help="shift-translate frames; optional mixed set")
+    p = _command(sub, "augment", cmd_augment, "shift-translate frames; optional mixed set")
     _add_data_flags(p)
     p.add_argument("--shift-range", type=int, default=24,
                    help="shifts drawn uniformly from [-R, R] pixels")
@@ -385,39 +381,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="steering correction in degrees per pixel")
     p.add_argument("--mixed-size", type=int, default=0,
                    help="also build a 15%%/85%% normal/shifted evaluation set")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("render", help="overlay frames for visual review")
+    p = _command(sub, "render", cmd_render, "overlay frames for visual review")
     _add_data_flags(p)
     p.add_argument("--checkpoint", help="render this model's predictions too")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--limit", type=int, default=0, help="render first N pairs only")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("bench", help="forward-pass latency report")
+    p = _command(sub, "bench", cmd_bench, "forward-pass latency report")
     p.add_argument("--task", choices=TASKS, default="real")
     p.add_argument("--arch", default="4CL-3FC")
     p.add_argument("--checkpoint", help="bench a trained model instead")
     p.add_argument("--image-size", type=int, default=256)
     p.add_argument("--warmup", type=int, default=50)
     p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("activations", help="export hidden-FC activations")
+    p = _command(sub, "activations", cmd_activations, "export hidden-FC activations")
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--layer", help="node name; default: last hidden FC ReLU")
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_activations)
     return parser
 
 
@@ -456,11 +440,13 @@ def main(argv=None) -> int:
         argv = _apply_config_file(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
+        _write_run_info(args.out, args)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: input not found: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (DataError, CheckpointError, GraphError, ShapeError) as exc:
+    except (DataError, CheckpointError, GraphError, ShapeError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (DivergenceError, NumericError) as exc:

@@ -325,12 +325,15 @@ class BatchNorm2d(Layer):
     """Per-channel batch normalization over (batch, H, W) with learnable affine.
 
     Training mode normalizes with batch statistics (population variance) and
-    updates running statistics by exponential moving average; eval mode uses
-    the running statistics. A degenerate batch (variance zero) is permitted:
-    the variance clamps at eps.
+    updates running statistics by an exponential moving average with weight
+    ``momentum`` on the new batch; eval mode uses the running statistics.
+    ``eps`` is added to the variance, so a degenerate batch (variance zero)
+    is permitted.
     """
 
     kind = "batchnorm"
+    eps = 1e-5
+    momentum = 0.1
 
     @classmethod
     def infer_shape(cls, node, hyper, in_shapes):
@@ -344,13 +347,8 @@ class BatchNorm2d(Layer):
     def param_count(cls, hyper, in_shapes):
         return 2 * in_shapes[0][0]
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 dtype=DEFAULT_DTYPE):
+    def __init__(self, channels: int, dtype=DEFAULT_DTYPE):
         super().__init__()
-        if eps <= 0:
-            raise ShapeError(f"batchnorm eps must be > 0, got {eps}")
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Param("gamma", np.ones(channels, dtype=dtype))
         self.beta = Param("beta", np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)

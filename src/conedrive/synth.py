@@ -77,8 +77,7 @@ def render_track_frame(size: int, x_offset: float) -> np.ndarray:
     return np.clip(image, 0.0, 1.0)
 
 
-def synth_track_dataset(n: int, image_size: int = 64, seed: int = 0,
-                        noise_sigma: float = NOISE_SIGMA) -> list[FramePair]:
+def synth_track_dataset(n: int, image_size: int = 64, seed: int = 0) -> list[FramePair]:
     """Generate n labeled FramePairs; identical bytes for identical seeds."""
     if n < 10:
         raise DataError(f"synthetic dataset needs n >= 10, got {n}")
@@ -89,9 +88,8 @@ def synth_track_dataset(n: int, image_size: int = 64, seed: int = 0,
         x_offset = float(rng.uniform(-half, half))
         steering = float(np.clip(-90.0 * x_offset / half, -90.0, 90.0))
         image = render_track_frame(image_size, x_offset)
-        if noise_sigma > 0:
-            noise = rng.normal(0.0, noise_sigma, size=image.shape).astype(np.float32)
-            image = np.clip(image + noise, 0.0, 1.0)
+        noise = rng.normal(0.0, NOISE_SIGMA, size=image.shape).astype(np.float32)
+        image = np.clip(image + noise, 0.0, 1.0)
         left_raw, right_raw = motor_raw_for(steering)
         raw = TelemetryRecord(
             timestamp=i * FRAME_PERIOD_MS,

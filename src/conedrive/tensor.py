@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 DEFAULT_DTYPE = np.float32
 CHECK_DTYPE = np.float64
-
-
-def assert_finite(values: np.ndarray, context: str = "tensor") -> None:
-    """Raise NumericError naming the first non-finite coordinate, if any."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), values.shape))
-        raise NumericError(
-            f"{context}: non-finite value {float(values[idx])} at coordinate {idx}"
-        )
 
 
 class Param:

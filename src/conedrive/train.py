@@ -20,7 +20,7 @@ from .errors import DivergenceError, GraphError
 from .graph import Model
 from .layers import smooth_l1, softmax_cross_entropy
 from .metrics import eval_classification, eval_regression
-from .zoo import expand_double_compressed, make_realvalue_model
+from .zoo import conv_count, expand_double_compressed, make_realvalue_model
 
 LOSS_KINDS = ("cross_entropy", "smooth_l1")
 
@@ -188,7 +188,7 @@ def grid_search(name: str, filter_sets, stride_sets, config: TrainConfig,
     with an infinite loss and ranked last, never fatal. Results are returned
     ranked ascending by final validation loss.
     """
-    n_conv = 4 if name.startswith("4CL") else 3
+    n_conv = conv_count(name)
     results = []
     for index, (fpair, spair) in enumerate(product(filter_sets, stride_sets)):
         filters = expand_double_compressed(fpair, n_conv)

@@ -1,11 +1,12 @@
 """The named model zoo: discrete steering, real-value steering, brake/throttle.
 
-Every conv block is conv -> batchnorm -> relu -> maxpool(2x2, stride 2);
-block kernels clamp to the available spatial extent and a block's pool is
-emitted only when the 2x2 window still fits, so each architecture also
-instantiates cleanly on miniature inputs (64x64 training runs, 16x16
-gradient-check clones) and on aggressive stride configurations from the
-grid search.
+Every model is one backbone -- conv blocks on a (3, S, S) image, then a
+flatten -- followed by its own FC layers and output. Every conv block is
+conv -> batchnorm -> relu -> maxpool(2x2, stride 2); block kernels clamp to
+the available spatial extent and a block's pool is emitted only when the
+2x2 window still fits, so each architecture also instantiates cleanly on
+miniature inputs (64x64 training runs, 16x16 gradient-check clones) and on
+aggressive stride configurations from the grid search.
 """
 from __future__ import annotations
 
@@ -13,10 +14,12 @@ from .errors import GraphError
 from .graph import ModelSpec, NodeSpec, spec
 
 POOL = 2
+IMAGE_CHANNELS = 3
 
 DISCRETE_NAMES = ("1CL-1FC", "2CL-1FC", "1CL-2FC", "2CL-2FC", "3CL-2FC")
 REALVALUE_NAMES = ("3CL-2FC", "3CL-3FC", "4CL-3FC")
 
+# (kernel, stride, depth) per conv block, keyed by block count
 _CONV_STACKS = {
     1: ((5, 2, 8),),
     2: ((5, 2, 8), (5, 2, 16)),
@@ -24,29 +27,49 @@ _CONV_STACKS = {
     4: ((5, 2, 8), (5, 2, 16), (3, 1, 32), (3, 1, 48)),
 }
 
-_DISCRETE_SHAPE = {
+# (conv blocks, hidden FC widths) of every named architecture
+_SHAPES = {
     "1CL-1FC": (1, ()),
     "2CL-1FC": (2, ()),
     "1CL-2FC": (1, (100,)),
     "2CL-2FC": (2, (100,)),
     "3CL-2FC": (3, (100,)),
-}
-
-_REALVALUE_HIDDEN = {
-    "3CL-2FC": (100,),
-    "3CL-3FC": (1024, 100),
-    "4CL-3FC": (1024, 100),
+    "3CL-3FC": (3, (1024, 100)),
+    "4CL-3FC": (4, (1024, 100)),
 }
 
 STEERING_BOUNDS = (-90.0, 90.0)
 BRAKE_THROTTLE_SCALE = 256.0
 
 
-def _conv_stack(nodes: list[NodeSpec], src: str, hw: int,
-                filters, strides, depths) -> tuple[str, int, int]:
-    """Emit conv blocks; returns (last node, spatial extent, channels)."""
-    channels = None
-    for i, (k, s, d) in enumerate(zip(filters, strides, depths), start=1):
+def _shape(name: str, family: str, names) -> tuple[int, tuple[int, ...]]:
+    if name not in names:
+        raise GraphError(
+            f"unknown {family} architecture '{name}'; valid names: {list(names)}"
+        )
+    return _SHAPES[name]
+
+
+def conv_count(name: str) -> int:
+    """Conv blocks of the named real-value architecture."""
+    return _shape(name, "real-value", REALVALUE_NAMES)[0]
+
+
+def _backbone(name: str, n_conv: int, input_hw: int,
+              filters, strides) -> list[NodeSpec]:
+    """Conv blocks on the image, then "flat"; filters and strides given as
+    None take the stack's own."""
+    stack = _CONV_STACKS[n_conv]
+    filters = [k for k, _, _ in stack] if filters is None else list(filters)
+    strides = [s for _, s, _ in stack] if strides is None else list(strides)
+    if len(filters) != n_conv or len(strides) != n_conv:
+        raise GraphError(
+            f"'{name}' has {n_conv} conv layers; got {len(filters)} filters "
+            f"and {len(strides)} strides"
+        )
+    nodes: list[NodeSpec] = []
+    src, hw = "image", input_hw
+    for i, (k, s, (_, _, d)) in enumerate(zip(filters, strides, stack), start=1):
         k = min(k, hw)
         nodes.append(NodeSpec(f"conv{i}", spec("conv", out_depth=d, kernel=k, stride=s),
                               (src,)))
@@ -59,8 +82,8 @@ def _conv_stack(nodes: list[NodeSpec], src: str, hw: int,
                                   (src,)))
             hw = (hw - POOL) // POOL + 1
             src = f"pool{i}"
-        channels = d
-    return src, hw, channels
+    nodes.append(NodeSpec("flat", spec("flatten"), (src,)))
+    return nodes
 
 
 def _fc_stack(nodes: list[NodeSpec], src: str, hidden) -> str:
@@ -71,93 +94,48 @@ def _fc_stack(nodes: list[NodeSpec], src: str, hidden) -> str:
     return src
 
 
-def make_discrete_model(name: str, input_hw: int = 256,
-                        in_channels: int = 3) -> ModelSpec:
+def _model_spec(nodes: list[NodeSpec], input_hw: int, *extra_inputs) -> ModelSpec:
+    """The image input (plus ``extra_inputs``); the last node is the output."""
+    return ModelSpec(
+        inputs=(("image", (IMAGE_CHANNELS, input_hw, input_hw)),) + extra_inputs,
+        nodes=tuple(nodes),
+        output=nodes[-1].name,
+    )
+
+
+def make_discrete_model(name: str, input_hw: int = 256) -> ModelSpec:
     """Three-way steering classifier; output node emits class logits."""
-    if name not in _DISCRETE_SHAPE:
-        raise GraphError(
-            f"unknown discrete architecture '{name}'; valid names: "
-            f"{list(DISCRETE_NAMES)}"
-        )
-    n_conv, hidden = _DISCRETE_SHAPE[name]
-    stack = _CONV_STACKS[n_conv]
-    nodes: list[NodeSpec] = []
-    src, _, _ = _conv_stack(nodes, "image",  input_hw,
-                            [k for k, _, _ in stack],
-                            [s for _, s, _ in stack],
-                            [d for _, _, d in stack])
-    nodes.append(NodeSpec("flat", spec("flatten"), (src,)))
+    n_conv, hidden = _shape(name, "discrete", DISCRETE_NAMES)
+    nodes = _backbone(name, n_conv, input_hw, None, None)
     src = _fc_stack(nodes, "flat", hidden)
     nodes.append(NodeSpec("head", spec("softmax_head", classes=3), (src,)))
-    return ModelSpec(
-        inputs=(("image", (in_channels, input_hw, input_hw)),),
-        nodes=tuple(nodes),
-        output="head",
-    )
+    return _model_spec(nodes, input_hw)
 
 
 def make_realvalue_model(name: str, filters=None, strides=None,
-                         input_hw: int = 256, in_channels: int = 3) -> ModelSpec:
+                         input_hw: int = 256) -> ModelSpec:
     """Real-value steering regressor: single output clamped to +/-90 degrees."""
-    if name not in _REALVALUE_HIDDEN:
-        raise GraphError(
-            f"unknown real-value architecture '{name}'; valid names: "
-            f"{list(REALVALUE_NAMES)}"
-        )
-    n_conv = 4 if name.startswith("4CL") else 3
-    stack = _CONV_STACKS[n_conv]
-    default_filters = [k for k, _, _ in stack]
-    default_strides = [s for _, s, _ in stack]
-    depths = [d for _, _, d in stack]
-    filters = default_filters if filters is None else list(filters)
-    strides = default_strides if strides is None else list(strides)
-    if len(filters) != n_conv or len(strides) != n_conv:
-        raise GraphError(
-            f"'{name}' has {n_conv} conv layers; got {len(filters)} filters "
-            f"and {len(strides)} strides"
-        )
-    nodes: list[NodeSpec] = []
-    src, _, _ = _conv_stack(nodes, "image", input_hw, filters, strides, depths)
-    nodes.append(NodeSpec("flat", spec("flatten"), (src,)))
-    src = _fc_stack(nodes, "flat", _REALVALUE_HIDDEN[name])
+    n_conv, hidden = _shape(name, "real-value", REALVALUE_NAMES)
+    nodes = _backbone(name, n_conv, input_hw, filters, strides)
+    src = _fc_stack(nodes, "flat", hidden)
     nodes.append(NodeSpec("out_linear", spec("linear", out_features=1), (src,)))
     nodes.append(NodeSpec("clamp", spec("clamp_scale", lo=STEERING_BOUNDS[0],
                                         hi=STEERING_BOUNDS[1]), ("out_linear",)))
-    return ModelSpec(
-        inputs=(("image", (in_channels, input_hw, input_hw)),),
-        nodes=tuple(nodes),
-        output="clamp",
-    )
+    return _model_spec(nodes, input_hw)
 
 
-def make_brake_throttle_model(input_hw: int = 256, in_channels: int = 3,
-                              filters=None, strides=None) -> ModelSpec:
+def make_brake_throttle_model(input_hw: int = 256) -> ModelSpec:
     """Multi-parent DAG: image conv features concatenated with the scaled
     (left, right) motor-speed pair ahead of the controller FC layers; the
     two-node output passes through a sigmoid scaled to the 0..256 range."""
-    stack = _CONV_STACKS[4]
-    depths = [d for _, _, d in stack]
-    filters = [k for k, _, _ in stack] if filters is None else list(filters)
-    strides = [s for _, s, _ in stack] if strides is None else list(strides)
-    if len(filters) != 4 or len(strides) != 4:
-        raise GraphError(
-            f"brake/throttle stack has 4 conv layers; got {len(filters)} "
-            f"filters and {len(strides)} strides"
-        )
-    nodes: list[NodeSpec] = []
-    src, _, _ = _conv_stack(nodes, "image", input_hw, filters, strides, depths)
-    nodes.append(NodeSpec("flat", spec("flatten"), (src,)))
+    nodes = _backbone("brake_throttle", 4, input_hw, None, None)
     nodes.append(NodeSpec("join", spec("concat"), ("flat", "motor")))
     src = _fc_stack(nodes, "join", (1024, 100))
     nodes.append(NodeSpec("out_linear", spec("linear", out_features=2), (src,)))
     nodes.append(NodeSpec("out_sigmoid",
                           spec("scaled_sigmoid", scale=BRAKE_THROTTLE_SCALE),
                           ("out_linear",)))
-    return ModelSpec(
-        inputs=(("image", (in_channels, input_hw, input_hw)), ("motor", (2,))),
-        nodes=tuple(nodes),
-        output="out_sigmoid",
-    )
+    return _model_spec(nodes, input_hw, ("motor", (2,)))
 
 
 def zoo_specs(input_hw: int = 256):

@@ -312,3 +312,52 @@ class TestCli:
         assert code == EXIT_OK
         history = (out2 / "history.tsv").read_text().splitlines()
         assert history[2].startswith("2\t")  # epoch counter resumed at 2
+
+    def test_resume_takes_the_task_from_the_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "real.ckpt"
+        save_checkpoint(Model(make_realvalue_model("3CL-2FC", input_hw=16), seed=0), ckpt)
+        out = tmp_path / "resumed"
+        code = main(["train", "--synth", "40", "--image-size", "16", "--epochs", "1",
+                     "--batch-size", "8", "--resume", str(ckpt), "--out", str(out)])
+        assert code == EXIT_OK
+        assert "val_l1" in (out / "history.tsv").read_text()
+
+    def test_resume_rejects_a_contradicting_task_before_loading_data(
+            self, tmp_path, capsys):
+        ckpt = tmp_path / "real.ckpt"
+        save_checkpoint(Model(make_realvalue_model("3CL-2FC", input_hw=16), seed=0), ckpt)
+        missing = str(tmp_path / "no-such-manifest.tsv")
+        code = main(["train", "--task", "discrete", "--manifest", missing,
+                     "--telemetry", missing, "--frames", missing,
+                     "--resume", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "discrete" in err and "real" in err
+
+    def test_train_without_task_or_resume_is_a_usage_error(self, tmp_path):
+        code = main(["train", "--synth", "40", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", [["--filters", "5,3,3"], ["--strides", "2"]],
+                             ids=["filters", "strides"])
+    def test_malformed_grid_is_a_usage_error(self, tmp_path, grid):
+        with pytest.raises(SystemExit) as exc:
+            main(["gridsearch", "--synth", "40", *grid, "--out", str(tmp_path / "g")])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--telemetry", "--manifest"])
+    def test_directory_where_a_file_belongs_is_bad_input(self, tmp_path, corpus_dir,
+                                                         flag):
+        prep = tmp_path / "prep"
+        assert main(["prep", "--telemetry", str(corpus_dir / "telemetry.csv"),
+                     "--frames", str(corpus_dir / "frames"),
+                     "--out", str(prep)]) == EXIT_OK
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
+        files = {"--checkpoint": str(ckpt), "--manifest": str(prep / "manifest.tsv"),
+                 "--telemetry": str(corpus_dir / "telemetry.csv")}
+        files[flag] = str(tmp_path)
+        code = main(["eval", *(a for kv in files.items() for a in kv),
+                     "--frames", str(corpus_dir / "frames"), "--image-size", "16",
+                     "--batch-size", "4", "--out", str(tmp_path / "e")])
+        assert code == EXIT_BAD_INPUT

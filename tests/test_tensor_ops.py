@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedrive.errors import GraphError, NumericError, ShapeError
+from conedrive.errors import GraphError, ShapeError
 from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
                               MaxPool2d, ReLU, ScaledSigmoid,
                               conv_weight_grad_reference, im2col,
                               maxpool_backward_reference, maxpool_forward_reference,
                               softmax)
-from conedrive.tensor import Param, assert_finite
+from conedrive.tensor import Param
 
 
 def conv2d_bruteforce(x, weight, bias, stride):
@@ -364,12 +364,6 @@ class TestSoftmaxAndChecks:
         logits = np.random.default_rng(seed).normal(0, 5, (8, 3))
         rows = softmax(logits).sum(axis=1)
         np.testing.assert_allclose(rows, 1.0, atol=1e-6)
-
-    def test_assert_finite_reports_coordinate(self):
-        x = np.zeros((2, 3))
-        x[1, 2] = np.inf
-        with pytest.raises(NumericError, match=r"\(1, 2\)"):
-            assert_finite(x)
 
     def test_param_gradient_shape_enforced(self):
         p = Param("weight", np.zeros((2, 3)))
