@@ -26,14 +26,14 @@ from . import __version__
 from .bench import bench_forward, write_latency_report
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import load_pairs, prep_corpus, read_manifest, write_corpus, write_manifest
-from .data import (DatasetSplit, brake_throttle_arrays, build_mixed_set,
-                   classification_arrays, regression_arrays, shift_augment,
-                   split_60_20_20)
+from .data import (SHIFT_DEGREES_PER_PIXEL, DatasetSplit, brake_throttle_arrays,
+                   build_mixed_set, classification_arrays, regression_arrays,
+                   shift_augment, split_60_20_20)
 from .errors import (CheckpointError, DataError, DivergenceError, GraphError,
                      NumericError, ShapeError)
 from .graph import Model
 from .metrics import (eval_classification, eval_regression, export_activations,
-                      task_of)
+                      predict, task_of)
 from .overlay import Prediction, render_sequence
 from .synth import synth_track_dataset
 from .train import (DEFAULT_FILTER_GRID, DEFAULT_STRIDE_GRID, TrainConfig,
@@ -48,6 +48,7 @@ EXIT_BAD_INPUT = 4
 EXIT_RUNTIME = 5
 
 TASKS = ("discrete", "real", "brake_throttle")
+RENDER_BATCH_SIZE = 64
 
 
 def _write_run_info(out_dir, args) -> None:
@@ -68,15 +69,23 @@ def _require_paths(*paths) -> None:
 
 
 def _parse_crop(text):
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("crop must be x0,y0,width,height")
-    return tuple(parts)
+    """'x0,y0,width,height' -> (x0, y0, width, height)"""
+    try:
+        crop = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        crop = ()
+    if len(crop) != 4:
+        raise argparse.ArgumentTypeError(
+            f"a crop is four integers x0,y0,width,height, got {text!r}")
+    return crop
 
 
 def _load_split(args):
     """Dataset split from --synth or from manifest + telemetry + frames."""
     if args.synth:
+        if args.crop:
+            raise ValueError("--crop applies to frames read with --frames, "
+                             "not to --synth data")
         pairs = synth_track_dataset(args.synth, args.image_size, args.seed)
         return split_60_20_20(pairs, args.seed)
     if not (args.manifest and args.telemetry and args.frames):
@@ -173,7 +182,7 @@ def cmd_train(args) -> int:
     train_data = _arrays_for(task, split.train)
     val_data = _arrays_for(task, split.validation)
     metric = "val_acc" if loss == "cross_entropy" else "val_l1"
-    result = train(model, train_data, val_data, config, start_epoch=model.epoch,
+    result = train(model, train_data, val_data, config,
                    log=lambda s: print(
                        f"epoch {s.epoch}: lr={s.lr:.6f} train_loss={s.train_loss:.5f} "
                        f"{metric}={s.val_metric:.5f} ({s.seconds:.1f}s)"))
@@ -225,15 +234,15 @@ def cmd_gridsearch(args) -> int:
 
 def _parse_grid(text):
     """'7,5;5,3' -> ((7, 5), (5, 3))"""
-    out = []
-    for chunk in text.split(";"):
-        pair = tuple(int(v) for v in chunk.split(","))
-        if len(pair) != 2:
-            raise argparse.ArgumentTypeError(
-                f"grid entries are compressed pairs like 7,5 (got {chunk!r})"
-            )
-        out.append(pair)
-    return tuple(out)
+    try:
+        grid = tuple(tuple(int(v) for v in chunk.split(","))
+                     for chunk in text.split(";"))
+    except ValueError:
+        grid = ((),)
+    if any(len(pair) != 2 for pair in grid):
+        raise argparse.ArgumentTypeError(
+            f"a grid is ';'-joined integer pairs such as 7,5;5,3, got {text!r}")
+    return grid
 
 
 def cmd_augment(args) -> int:
@@ -272,10 +281,10 @@ def cmd_render(args) -> int:
 
 
 def _predictions(model, pairs) -> list[Prediction]:
-    """One eval forward over ``pairs``; class ids map to +30/0/-30 degrees."""
+    """Batched eval forwards over ``pairs``; class ids map to +30/0/-30 degrees."""
     task = task_of(model)
     inputs, _ = _arrays_for(task, pairs)
-    out = model.forward(inputs, mode="eval")
+    out = predict(model, inputs, RENDER_BATCH_SIZE)
     if task == "discrete":
         steering = {1: 30.0, 2: 0.0, 3: -30.0}
         return [Prediction(steering=steering[int(c) + 1]) for c in out.argmax(axis=1)]
@@ -321,10 +330,10 @@ def _add_data_flags(p):
 
 
 def _add_train_flags(p):
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--decay", type=float, default=1.0 / 1.01)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--lr", type=float, default=TrainConfig.initial_lr)
+    p.add_argument("--decay", type=float, default=TrainConfig.decay)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
 
 
 def _command(sub, name, func, help):
@@ -377,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--shift-range", type=int, default=24,
                    help="shifts drawn uniformly from [-R, R] pixels")
-    p.add_argument("--k", type=float, default=0.15,
+    p.add_argument("--k", type=float, default=SHIFT_DEGREES_PER_PIXEL,
                    help="steering correction in degrees per pixel")
     p.add_argument("--mixed-size", type=int, default=0,
                    help="also build a 15%%/85%% normal/shifted evaluation set")
@@ -445,6 +454,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: input not found: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    except FileExistsError as exc:
+        print(f"error: output path {exc.filename} exists and is not a directory",
+              file=sys.stderr)
+        return EXIT_USAGE
     except (DataError, CheckpointError, GraphError, ShapeError,
             IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

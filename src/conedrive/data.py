@@ -16,10 +16,10 @@ import numpy as np
 from .errors import DataError
 
 TELEMETRY_HEADER = "timestamp,steering,brake,throttle,left_motor_speed,right_motor_speed"
-MOTOR_RAW_MAX = 20000.0
-MOTOR_SCALE = 256.0 / MOTOR_RAW_MAX
 STEERING_RANGE = (-90.0, 90.0)
-PEDAL_RANGE = (0.0, 256.0)
+PEDAL_RANGE = (0.0, 256.0)  # brake, throttle and scaled motor speeds
+MOTOR_RAW_MAX = 20000.0
+MOTOR_SCALE = PEDAL_RANGE[1] / MOTOR_RAW_MAX
 SHIFT_DEGREES_PER_PIXEL = 0.15
 
 
@@ -99,7 +99,8 @@ def parse_telemetry(text: str):
     return records, skipped
 
 
-def _clamp(value: float, lo: float, hi: float):
+def clamp(value: float, lo: float, hi: float):
+    """``value`` limited to [lo, hi], and whether that changed it."""
     clamped = min(max(value, lo), hi)
     return clamped, clamped != value
 
@@ -110,15 +111,15 @@ def scale_signals(record: TelemetryRecord):
     Returns (scaled record, number of clamped fields).
     """
     warnings = 0
-    lm, c = _clamp(record.left_motor_speed, 0.0, MOTOR_RAW_MAX)
+    lm, c = clamp(record.left_motor_speed, 0.0, MOTOR_RAW_MAX)
     warnings += c
-    rm, c = _clamp(record.right_motor_speed, 0.0, MOTOR_RAW_MAX)
+    rm, c = clamp(record.right_motor_speed, 0.0, MOTOR_RAW_MAX)
     warnings += c
-    steering, c = _clamp(record.steering, *STEERING_RANGE)
+    steering, c = clamp(record.steering, *STEERING_RANGE)
     warnings += c
-    brake, c = _clamp(record.brake, *PEDAL_RANGE)
+    brake, c = clamp(record.brake, *PEDAL_RANGE)
     warnings += c
-    throttle, c = _clamp(record.throttle, *PEDAL_RANGE)
+    throttle, c = clamp(record.throttle, *PEDAL_RANGE)
     warnings += c
     scaled = replace(record, steering=steering, brake=brake, throttle=throttle,
                      left_motor_speed=lm * MOTOR_SCALE,
@@ -203,12 +204,6 @@ def discretize_steering(steering: float) -> SteeringClass:
     if steering < -10.0:
         return SteeringClass.RIGHT
     return SteeringClass.STRAIGHT
-
-
-def one_hot(cls: SteeringClass) -> np.ndarray:
-    vec = np.zeros(3, dtype=np.float32)
-    vec[int(cls) - 1] = 1.0
-    return vec
 
 
 def shift_augment(pair: FramePair, shift_px: int,

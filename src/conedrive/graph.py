@@ -293,9 +293,10 @@ class Model:
                 )
         return batch
 
-    def forward(self, inputs, mode: str, capture: dict | None = None,
+    def forward(self, inputs: dict[str, np.ndarray], mode: str,
+                capture: dict | None = None,
                 timings: dict[str, int] | None = None) -> np.ndarray:
-        """Evaluate the graph; ``mode`` is 'train' or 'eval'.
+        """Evaluate the graph on named input arrays; ``mode`` is 'train' or 'eval'.
 
         ``capture`` (a dict) collects copies of named node outputs.
         ``timings`` collects per-node wall-clock nanoseconds.
@@ -303,12 +304,6 @@ class Model:
         if mode not in ("train", "eval"):
             raise GraphError(f"mode must be 'train' or 'eval', got {mode!r}")
         train = mode == "train"
-        if not isinstance(inputs, dict):
-            if len(self.spec.inputs) != 1:
-                raise GraphError(
-                    "this model has multiple named inputs; pass a dict"
-                )
-            inputs = {self.spec.inputs[0][0]: inputs}
         self._check_inputs(inputs)
         values: list = [None] * len(self._slot)
         for name, arr in inputs.items():

@@ -1,9 +1,11 @@
 """Batched accuracy / mean-L1 evaluation, confusion matrices, and exports.
 
-Evaluation walks a split in full batches only (the trailing partial batch is
-dropped and counted). The primary accuracy figure is the mean of per-batch
-accuracies; the global trace/sum accuracy is also reported and coincides
-with it whenever every batch is full.
+Every multi-frame forward runs through ``predict``: eval mode, ``batch_size``
+frames at a time, in split order. Evaluation and the activation export walk
+full batches only (the trailing partial batch is dropped and counted). The
+primary accuracy figure is the mean of per-batch accuracies; the global
+trace/sum accuracy is also reported and coincides with it whenever every
+batch is full.
 
 Reports are bit-reproducible at a fixed batch size only: the same frame
 forwarded alone and inside a larger batch can differ in the last float32
@@ -21,7 +23,6 @@ import numpy as np
 from .data import BRAKE_THROTTLE_CHANNELS
 from .errors import DataError, GraphError
 from .graph import Model
-from .layers import softmax
 from .ppm import write_pgm
 
 N_CLASSES = 3
@@ -90,16 +91,27 @@ def task_of(model: Model) -> str:
         model.output_kind, "brake_throttle")
 
 
-def _batched(inputs: dict[str, np.ndarray], targets: np.ndarray, batch_size: int):
-    n = targets.shape[0]
-    batches = n // batch_size
-    if batches == 0:
+def predict(model: Model, inputs: dict[str, np.ndarray], batch_size: int,
+            node: str | None = None) -> np.ndarray:
+    """Eval-mode outputs of ``node`` (default: the model's) for every frame,
+    forwarded ``batch_size`` frames at a time; the last batch may be partial."""
+    node = node or model.spec.output
+    capture, outs = {node: None}, []
+    for start in range(0, len(next(iter(inputs.values()))), batch_size):
+        batch = {name: arr[start:start + batch_size] for name, arr in inputs.items()}
+        model.forward(batch, mode="eval", capture=capture)
+        outs.append(capture[node])
+    return np.concatenate(outs)
+
+
+def _full_batches(inputs, targets, batch_size: int):
+    """``inputs`` and ``targets`` cut to the split's full batches."""
+    frames = targets.shape[0] // batch_size * batch_size
+    if frames == 0:
         raise DataError(
-            f"split of {n} frames yields no full batch of {batch_size}"
+            f"split of {targets.shape[0]} frames yields no full batch of {batch_size}"
         )
-    for b in range(batches):
-        sl = slice(b * batch_size, (b + 1) * batch_size)
-        yield {name: arr[sl] for name, arr in inputs.items()}, targets[sl]
+    return {name: arr[:frames] for name, arr in inputs.items()}, targets[:frames]
 
 
 def _report(model: Model, targets, batch_size: int, **figures) -> MetricsReport:
@@ -118,13 +130,11 @@ def eval_classification(model: Model, inputs, targets,
             f"classification eval needs a softmax head, model ends in "
             f"'{model.output_kind}'"
         )
+    xs, ys = _full_batches(inputs, targets, batch_size)
+    pred = predict(model, xs, batch_size).argmax(axis=1) + 1
     confusion = ConfusionMatrix()
-    accs = []
-    for xb, yb in _batched(inputs, targets, batch_size):
-        logits = model.forward(xb, mode="eval")
-        pred = logits.argmax(axis=1) + 1
-        accs.append(float(np.mean(pred == yb)))
-        confusion.add(yb.astype(int), pred.astype(int))
+    confusion.add(ys.astype(int), pred.astype(int))
+    accs = (pred == ys).reshape(-1, batch_size).mean(axis=1)
     return _report(model, targets, batch_size, batch_accuracy=float(np.mean(accs)),
                    global_accuracy=confusion.accuracy, confusion=confusion)
 
@@ -142,25 +152,18 @@ def eval_regression(model: Model, inputs, targets,
             "regression eval needs a real-valued head such as a clamped head, "
             "model ends in 'softmax_head'"
         )
-    abs_sum, count = 0.0, 0
-    channel_sum = np.zeros(targets.shape[1])
-    for xb, yb in _batched(inputs, targets, batch_size):
-        out = model.forward(xb, mode="eval")
-        err = np.abs(out - yb)
-        abs_sum += float(err.sum())
-        count += yb.size
-        channel_sum += err.sum(axis=0)
+    xs, ys = _full_batches(inputs, targets, batch_size)
+    err = np.abs(predict(model, xs, batch_size) - ys)
+    abs_sum, channel_sum = 0.0, np.zeros(ys.shape[1])
+    # summed batch by batch, channels in float64: the order reports are pinned to
+    for batch_err in err.reshape(-1, batch_size, ys.shape[1]):
+        abs_sum += float(batch_err.sum())
+        channel_sum += batch_err.sum(axis=0)
     channel_l1 = None
     if task_of(model) == "brake_throttle":
-        frames = count // targets.shape[1]
-        channel_l1 = dict(zip(BRAKE_THROTTLE_CHANNELS, (channel_sum / frames).tolist()))
-    return _report(model, targets, batch_size, mean_l1=abs_sum / count,
+        channel_l1 = dict(zip(BRAKE_THROTTLE_CHANNELS, (channel_sum / len(ys)).tolist()))
+    return _report(model, targets, batch_size, mean_l1=abs_sum / ys.size,
                    channel_l1=channel_l1)
-
-
-def predict_proba(model: Model, inputs) -> np.ndarray:
-    """Softmax class probabilities from a classification model."""
-    return softmax(model.forward(inputs, mode="eval"))
 
 
 def default_activation_layer(model: Model) -> str:
@@ -186,21 +189,17 @@ def export_activations(model: Model, inputs, targets, path,
             f"layer '{layer}' not in model; available: {model.node_names()}"
         )
     width = int(np.prod(model.shapes[layer]))
-    rows = 0
+    xs, ys = _full_batches(inputs, targets, batch_size)
+    acts = predict(model, xs, batch_size, node=layer).reshape(len(ys), width)
     with open(path, "w") as fh:
         fh.write(f"# layer={layer} width={width}\n")
         fh.write("\t".join(f"a{i}" for i in range(width)) + "\tlabel\n")
-        for xb, yb in _batched(inputs, targets, batch_size):
-            capture = {layer: None}
-            model.forward(xb, mode="eval", capture=capture)
-            acts = capture[layer].reshape(len(yb), -1)
-            for row, label in zip(acts, yb):
-                vals = "\t".join(f"{v:.7g}" for v in row)
-                label_txt = (f"{label:.6g}" if np.ndim(label) == 0
-                             else ",".join(f"{v:.6g}" for v in np.ravel(label)))
-                fh.write(f"{vals}\t{label_txt}\n")
-                rows += 1
-    return rows
+        for row, label in zip(acts, ys):
+            vals = "\t".join(f"{v:.7g}" for v in row)
+            label_txt = (f"{label:.6g}" if np.ndim(label) == 0
+                         else ",".join(f"{v:.6g}" for v in np.ravel(label)))
+            fh.write(f"{vals}\t{label_txt}\n")
+    return len(ys)
 
 
 def filter_to_pgm(filter_slice: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FramePair, TelemetryRecord
+from .data import PEDAL_RANGE, STEERING_RANGE, FramePair, TelemetryRecord, clamp
 from .errors import DataError
 from .ppm import to_u8, write_ppm
 
@@ -96,18 +96,13 @@ def _draw_needle(canvas, steering_deg, length, color):
 
 
 def _bar_width(value: float) -> int:
-    return int(round(value * BAR_FULL_W / 256.0))
+    return int(round(value * BAR_FULL_W / PEDAL_RANGE[1]))
 
 
 def _draw_bar(canvas, top, value, height, color):
     width = _bar_width(value)
     if width > 0:
         canvas[top : top + height, BAR_X0 : BAR_X0 + width] = color
-
-
-def _clamped(value, lo, hi):
-    c = min(max(value, lo), hi)
-    return c, c != value
 
 
 def render_overlay(frame: np.ndarray, actual: TelemetryRecord,
@@ -127,13 +122,13 @@ def render_overlay(frame: np.ndarray, actual: TelemetryRecord,
     canvas[CAMERA_SIZE:] = STRIP_BG
 
     flagged = False
-    steering, c = _clamped(actual.steering, -90.0, 90.0)
+    steering, c = clamp(actual.steering, *STEERING_RANGE)
     flagged |= c
     values = {}
     for key, raw in (("brake", actual.brake), ("throttle", actual.throttle),
                      ("left_motor", actual.left_motor_speed),
                      ("right_motor", actual.right_motor_speed)):
-        values[key], c = _clamped(raw, 0.0, 256.0)
+        values[key], c = clamp(raw, *PEDAL_RANGE)
         flagged |= c
 
     _draw_ring(canvas, DIAL_CENTER[0], DIAL_CENTER[1], DIAL_RADIUS, DIAL_RING_COLOR)
@@ -142,13 +137,13 @@ def render_overlay(frame: np.ndarray, actual: TelemetryRecord,
 
     if predicted is not None:
         if predicted.steering is not None:
-            pred_steer, c = _clamped(predicted.steering, -90.0, 90.0)
+            pred_steer, c = clamp(predicted.steering, *STEERING_RANGE)
             flagged |= c
             _draw_needle(canvas, pred_steer, PREDICTED_NEEDLE_LEN, PREDICTED_COLOR)
         for key, raw in (("brake", predicted.brake), ("throttle", predicted.throttle)):
             if raw is None:
                 continue
-            value, c = _clamped(raw, 0.0, 256.0)
+            value, c = clamp(raw, *PEDAL_RANGE)
             flagged |= c
             _draw_bar(canvas, BAR_ROWS[key] + BAR_HEIGHT + 1, value,
                       PREDICTED_BAR_HEIGHT, PREDICTED_COLOR)

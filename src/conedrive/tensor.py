@@ -13,7 +13,6 @@ import numpy as np
 from .errors import ShapeError
 
 DEFAULT_DTYPE = np.float32
-CHECK_DTYPE = np.float64
 
 
 class Param:

@@ -5,8 +5,8 @@ Every epoch reshuffles the training set with a generator seeded from
 (seed, epoch), walks it in fixed-size batches (the final partial batch is
 dropped, in training and validation alike), takes one plain SGD step per
 batch, then measures the validation metric in eval mode. Identical (config,
-data, seed) reproduces identical history, and a run resumed from a
-checkpoint at epoch e continues exactly as an uninterrupted one would.
+data, seed) reproduces identical history. Training starts at ``model.epoch``,
+so a run resumed from a checkpoint continues as an uninterrupted one would.
 """
 from __future__ import annotations
 
@@ -92,8 +92,8 @@ def _batch(arrays: dict[str, np.ndarray], idx: np.ndarray) -> dict[str, np.ndarr
 
 
 def train(model: Model, train_data, val_data, config: TrainConfig,
-          start_epoch: int = 0, log=None) -> TrainResult:
-    """Train in place; returns the per-epoch history.
+          log=None) -> TrainResult:
+    """Train in place from ``model.epoch``; returns the per-epoch history.
 
     ``train_data``/``val_data`` are (inputs, targets) pairs where inputs is a
     dict of arrays aligned on axis 0 (e.g. {"image": x}) and targets is the
@@ -114,8 +114,7 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
                 f"{split} split of {frames} frames yields no full batch of "
                 f"{config.batch_size}"
             )
-    for e in range(config.epochs):
-        epoch = start_epoch + e
+    for epoch in range(model.epoch, model.epoch + config.epochs):
         lr = lr_at_epoch(config, epoch)
         t0 = time.perf_counter()
         perm = np.random.default_rng((config.seed, epoch)).permutation(n)

@@ -10,6 +10,7 @@ aggressive stride configurations from the grid search.
 """
 from __future__ import annotations
 
+from .data import PEDAL_RANGE, STEERING_RANGE
 from .errors import GraphError
 from .graph import ModelSpec, NodeSpec, spec
 
@@ -37,9 +38,6 @@ _SHAPES = {
     "3CL-3FC": (3, (1024, 100)),
     "4CL-3FC": (4, (1024, 100)),
 }
-
-STEERING_BOUNDS = (-90.0, 90.0)
-BRAKE_THROTTLE_SCALE = 256.0
 
 
 def _shape(name: str, family: str, names) -> tuple[int, tuple[int, ...]]:
@@ -119,8 +117,8 @@ def make_realvalue_model(name: str, filters=None, strides=None,
     nodes = _backbone(name, n_conv, input_hw, filters, strides)
     src = _fc_stack(nodes, "flat", hidden)
     nodes.append(NodeSpec("out_linear", spec("linear", out_features=1), (src,)))
-    nodes.append(NodeSpec("clamp", spec("clamp_scale", lo=STEERING_BOUNDS[0],
-                                        hi=STEERING_BOUNDS[1]), ("out_linear",)))
+    nodes.append(NodeSpec("clamp", spec("clamp_scale", lo=STEERING_RANGE[0],
+                                        hi=STEERING_RANGE[1]), ("out_linear",)))
     return _model_spec(nodes, input_hw)
 
 
@@ -133,7 +131,7 @@ def make_brake_throttle_model(input_hw: int = 256) -> ModelSpec:
     src = _fc_stack(nodes, "join", (1024, 100))
     nodes.append(NodeSpec("out_linear", spec("linear", out_features=2), (src,)))
     nodes.append(NodeSpec("out_sigmoid",
-                          spec("scaled_sigmoid", scale=BRAKE_THROTTLE_SCALE),
+                          spec("scaled_sigmoid", scale=PEDAL_RANGE[1]),
                           ("out_linear",)))
     return _model_spec(nodes, input_hw, ("motor", (2,)))
 

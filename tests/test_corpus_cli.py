@@ -345,6 +345,51 @@ class TestCli:
             main(["gridsearch", "--synth", "40", *grid, "--out", str(tmp_path / "g")])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,shape", [
+        (["gridsearch", "--filters", "5,x"], "7,5;5,3"),
+        (["gridsearch", "--strides", "2,1;y"], "7,5;5,3"),
+        (["render", "--crop", "5,x"], "x0,y0,width,height"),
+    ], ids=["filters", "strides", "crop"])
+    def test_non_integer_grid_or_crop_message_shows_the_format(self, tmp_path, capsys,
+                                                               argv, shape):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--synth", "40", "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert shape in err and "_parse" not in err
+
+    def test_crop_with_synth_is_a_usage_error(self, tmp_path):
+        code = main(["train", "--synth", "40", "--crop", "9999,9999,5,5",
+                     "--task", "discrete", "--arch", "1CL-1FC", "--image-size", "16",
+                     "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path / "t")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "t" / "model.ckpt").exists()
+
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["prep", "--synth", "20", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+
+    def test_render_predicts_at_most_64_frames_per_forward(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=256), seed=0), ckpt)
+        sizes = []
+        forward = Model.forward
+
+        def recorded(model, inputs, mode, **kwargs):
+            sizes.append(len(inputs["image"]))
+            return forward(model, inputs, mode, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", recorded)
+        code = main(["render", "--synth", "110", "--split", "train", "--limit", "65",
+                     "--image-size", "256", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_OK
+        assert sizes == [64, 1]
+        assert len(list((tmp_path / "r" / "sim").iterdir())) == 65
+
     @pytest.mark.parametrize("flag", ["--checkpoint", "--telemetry", "--manifest"])
     def test_directory_where_a_file_belongs_is_bad_input(self, tmp_path, corpus_dir,
                                                          flag):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedrive.data import (FramePair, SteeringClass, TelemetryRecord,
-                            build_mixed_set, discretize_steering, one_hot,
+                            build_mixed_set, discretize_steering,
                             pair_nearest, pair_nearest_bruteforce, parse_telemetry,
                             scale_signals, shift_augment, split_60_20_20)
 from conedrive.errors import DataError
@@ -181,11 +181,6 @@ class TestDiscretize:
         assert cls is (SteeringClass.LEFT if left
                        else SteeringClass.STRAIGHT if straight
                        else SteeringClass.RIGHT)
-
-    def test_one_hot_exactly_one_bit(self):
-        for cls in SteeringClass:
-            vec = one_hot(cls)
-            assert vec.sum() == 1.0 and vec[int(cls) - 1] == 1.0
 
 
 def image_pair(seed=0, size=32, steering=0.0):

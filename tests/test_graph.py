@@ -152,7 +152,8 @@ class TestZooBuilders:
     def test_zero_image_zero_bias_gives_zero_steering(self):
         model_spec = make_realvalue_model("3CL-2FC", input_hw=64)
         model = Model(model_spec, seed=0)
-        out = model.forward(np.zeros((1, 3, 64, 64), dtype=np.float32), mode="eval")
+        out = model.forward({"image": np.zeros((1, 3, 64, 64), dtype=np.float32)},
+                            mode="eval")
         assert out[0, 0] == pytest.approx(0.0)
 
     def test_double_compressed_expansion(self):
@@ -183,7 +184,8 @@ class TestForward:
     def test_invalid_mode_rejected(self):
         model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
         with pytest.raises(GraphError, match="mode"):
-            model.forward(np.zeros((1, 3, 16, 16), dtype=np.float32), mode="test")
+            model.forward({"image": np.zeros((1, 3, 16, 16), dtype=np.float32)},
+                          mode="test")
 
     def test_wrong_input_shape_names_node(self):
         model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)

@@ -4,16 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from conedrive.data import (classification_arrays, discretize_steering,
-                            regression_arrays)
+from conedrive.data import (brake_throttle_arrays, classification_arrays,
+                            discretize_steering, regression_arrays)
 from conedrive.errors import DataError, GraphError
 from conedrive.graph import Model
 from conedrive.metrics import (ConfusionMatrix, default_activation_layer,
                                eval_classification, eval_regression,
                                export_activations, export_filters, filter_to_pgm,
-                               predict_proba)
+                               predict)
 from conedrive.synth import synth_track_dataset
-from conedrive.zoo import make_discrete_model, make_realvalue_model
+from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
+                           make_realvalue_model)
 
 
 def rigged_classifier(bias_class=2, input_hw=16):
@@ -103,12 +104,29 @@ class TestEvalClassification:
         np.testing.assert_array_equal(base.confusion.counts,
                                       shuffled.confusion.counts)
 
-    def test_predict_proba_rows_sum_to_one(self):
-        model = rigged_classifier()
-        pairs = synth_track_dataset(10, image_size=16, seed=5)
-        inputs, _ = classification_arrays(pairs)
-        proba = predict_proba(model, inputs)
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-6)
+
+class TestPredict:
+    def test_equals_concatenated_per_batch_forwards(self):
+        model = Model(make_brake_throttle_model(input_hw=16), seed=0)
+        inputs, _ = brake_throttle_arrays(synth_track_dataset(23, image_size=16, seed=5))
+        outs, hidden = [], []
+        for start in (0, 8, 16):  # two full batches of 8, then a partial 7
+            capture = {"fc1_relu": None}
+            outs.append(model.forward({k: v[start:start + 8] for k, v in inputs.items()},
+                                      mode="eval", capture=capture))
+            hidden.append(capture["fc1_relu"])
+        sizes = []
+        forward = model.forward
+
+        def recorded(batch, mode, **kwargs):
+            sizes.append(len(batch["image"]))
+            return forward(batch, mode, **kwargs)
+
+        model.forward = recorded
+        np.testing.assert_array_equal(predict(model, inputs, 8), np.concatenate(outs))
+        np.testing.assert_array_equal(predict(model, inputs, 8, node="fc1_relu"),
+                                      np.concatenate(hidden))
+        assert sizes == [8, 8, 7] * 2
 
 
 class TestConfusionIdentity:

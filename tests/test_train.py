@@ -205,9 +205,10 @@ class TestTrainLoop:
     def test_resume_uses_epoch_offset(self):
         train_data, val_data = small_sets()
         model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
-        result = train(model, train_data, val_data, self.config(epochs=2),
-                       start_epoch=10)
-        assert result.history[0].epoch == 10
+        model.epoch = 10
+        result = train(model, train_data, val_data, self.config(epochs=2))
+        assert [s.epoch for s in result.history] == [10, 11]
+        assert model.epoch == 12
         assert result.history[0].lr == pytest.approx(0.001 * (1 / 1.01) ** 10)
 
     def test_resume_equals_continuous_run(self, tmp_path):
@@ -224,8 +225,7 @@ class TestTrainLoop:
         save_checkpoint(first, path)
         resumed = load_checkpoint(path)
         assert resumed.epoch == 2
-        tail = train(resumed, train_data, val_data, self.config(epochs=2, seed=2),
-                     start_epoch=resumed.epoch)
+        tail = train(resumed, train_data, val_data, self.config(epochs=2, seed=2))
         assert history(head) + history(tail) == history(whole)
         for (name, want), (_, got) in zip(straight.state_tensors(),
                                           resumed.state_tensors()):
