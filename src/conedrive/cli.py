@@ -1,8 +1,8 @@
 """Command-line entry point wiring the modules into reproducible workflows.
 
 Every subcommand takes --seed and --out, writes a reproducibility stanza
-(run_info.txt: argv, seed, versions) into --out before it runs, and exits
-with a category-specific code:
+(run_info.txt: argv, seed, versions, BLAS and thread settings) into --out
+before it runs, and exits with a category-specific code:
 
     0  success
     2  usage or configuration error
@@ -23,10 +23,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import bench_forward, write_latency_report
+from .bench import bench_forward, hardware_description, write_latency_report
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import load_pairs, prep_corpus, read_manifest, write_corpus, write_manifest
-from .data import (SHIFT_DEGREES_PER_PIXEL, DatasetSplit, brake_throttle_arrays,
+from .data import (SHIFT_DEGREES_PER_PIXEL, brake_throttle_arrays,
                    build_mixed_set, classification_arrays, regression_arrays,
                    shift_augment, split_60_20_20)
 from .errors import (CheckpointError, DataError, DivergenceError, GraphError,
@@ -48,6 +48,7 @@ EXIT_BAD_INPUT = 4
 EXIT_RUNTIME = 5
 
 TASKS = ("discrete", "real", "brake_throttle")
+SPLITS = ("train", "val", "test")
 RENDER_BATCH_SIZE = 64
 
 
@@ -56,6 +57,7 @@ def _write_run_info(out_dir, args) -> None:
     with open(os.path.join(out_dir, "run_info.txt"), "w") as fh:
         fh.write(f"conedrive {__version__}; numpy {np.__version__}; "
                  f"python {sys.version.split()[0]}\n")
+        fh.write(f"hardware: {hardware_description()}\n")
         fh.write("argv: " + " ".join(sys.argv[1:]) + "\n")
         for key, value in sorted(vars(args).items()):
             if key != "func":
@@ -80,32 +82,33 @@ def _parse_crop(text):
     return crop
 
 
-def _load_split(args):
-    """Dataset split from --synth or from manifest + telemetry + frames."""
+def _load_split(args, names, limit=None) -> dict:
+    """{name: pairs} for each split in ``names``, from --synth or from
+    manifest + telemetry + frames, cut to its first ``limit`` pairs (all
+    when None); from a recorded drive only those pairs' frames are decoded."""
     if args.synth:
-        if args.crop:
-            raise ValueError("--crop applies to frames read with --frames, "
-                             "not to --synth data")
-        pairs = synth_track_dataset(args.synth, args.image_size, args.seed)
-        return split_60_20_20(pairs, args.seed)
+        for flag in ("manifest", "telemetry", "frames", "crop"):
+            if getattr(args, flag):
+                raise ValueError(f"--{flag} applies to a recorded drive, "
+                                 "not to --synth data")
+        split = split_60_20_20(synth_track_dataset(args.synth, args.image_size,
+                                                   args.seed), args.seed)
+        pairs = dict(zip(SPLITS, (split.train, split.validation, split.test)))
+        return {name: pairs[name][:limit] for name in names}
     if not (args.manifest and args.telemetry and args.frames):
         raise DataError(
             "need either --synth N or all of --manifest/--telemetry/--frames"
         )
     _require_paths(args.manifest, args.telemetry, args.frames)
-    membership, seed, dropped = read_manifest(args.manifest)
-    train, validation, test = (
-        load_pairs(membership[name], args.telemetry, args.frames, args.image_size,
-                   args.crop)
-        for name in ("train", "val", "test"))
-    return DatasetSplit(train, validation, test, seed=seed, dropped=dropped)
+    membership, _, _ = read_manifest(args.manifest)
+    return {name: load_pairs(membership[name][:limit], args.telemetry, args.frames,
+                             args.image_size, args.crop)
+            for name in names}
 
 
-def _selected_pairs(args):
-    """The pairs of the split named by --split."""
-    split = _load_split(args)
-    return {"train": split.train, "val": split.validation,
-            "test": split.test}[args.split]
+def _selected_pairs(args, limit=None):
+    """The first ``limit`` pairs (all when None) of the split named by --split."""
+    return _load_split(args, (args.split,), limit)[args.split]
 
 
 def _arrays_for(task, pairs):
@@ -176,11 +179,11 @@ def cmd_train(args) -> int:
     if args.task not in (None, task):
         raise ValueError(f"--task {args.task} disagrees with the {task} head "
                          f"of checkpoint {args.resume}")
-    split = _load_split(args)
+    split = _load_split(args, ("train", "val"))
     loss = "cross_entropy" if task == "discrete" else "smooth_l1"
     config = _train_config(args, loss)
-    train_data = _arrays_for(task, split.train)
-    val_data = _arrays_for(task, split.validation)
+    train_data = _arrays_for(task, split["train"])
+    val_data = _arrays_for(task, split["val"])
     metric = "val_acc" if loss == "cross_entropy" else "val_l1"
     result = train(model, train_data, val_data, config,
                    log=lambda s: print(
@@ -214,11 +217,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    split = _load_split(args)
+    split = _load_split(args, ("train", "val"))
     config = _train_config(args, "smooth_l1")
     results = grid_search(
         args.arch, args.filters, args.strides, config,
-        _arrays_for("real", split.train), _arrays_for("real", split.validation),
+        _arrays_for("real", split["train"]), _arrays_for("real", split["val"]),
         input_hw=args.image_size,
         log=lambda r: print(f"filters={r.filters} strides={r.strides} "
                             f"val_l1={r.val_loss:.4f}"
@@ -246,8 +249,7 @@ def _parse_grid(text):
 
 
 def cmd_augment(args) -> int:
-    split = _load_split(args)
-    pairs = split.train
+    pairs = _load_split(args, ("train",))["train"]
     rng = np.random.default_rng(args.seed)
     shifts = rng.integers(-args.shift_range, args.shift_range + 1, size=len(pairs))
     shifted = [shift_augment(p, int(s), args.k) for p, s in zip(pairs, shifts)]
@@ -265,9 +267,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_render(args) -> int:
-    pairs = _selected_pairs(args)
-    if args.limit:
-        pairs = pairs[: args.limit]
+    pairs = _selected_pairs(args, args.limit or None)
     predictions = None
     if args.checkpoint:
         model = _load_model(args.checkpoint)

@@ -12,10 +12,19 @@ k*k strided slices of its input, one per window offset; its backward routes
 each window's gradient to the first maximal element in row-major window
 order. The sliding-window argmax it replaced is kept as
 ``maxpool_forward_reference``/``maxpool_backward_reference``, the slow twins
-the property tests pin it to; nothing else calls them. The conv weight
-gradient is one batched matmul over the im2col columns, summed over the
-batch; its ``tensordot`` predecessor is kept as the test-only twin
-``conv_weight_grad_reference``.
+the property tests pin it to; nothing else calls them.
+
+Convolution lowers its batch with im2col in chunks of as many frames as fit
+in ``CONV_CHUNK_BYTES`` of columns (at least one), one matmul per chunk, so
+the columns stay in cache. The training cache holds the input, and the
+columns only when the batch is one chunk; otherwise backward rebuilds them
+chunk by chunk (compute traded for memory). Backward writes each frame's
+weight-gradient product into one (batch, out depth, C*k*k) buffer, summed
+over the batch at the end, and the input gradient chunk by chunk through
+``col2im``. Each frame is its own product throughout, so every result is
+bit-identical to the whole-batch lowering kept as the test-only twins
+``conv_forward_reference``/``conv_backward_reference``; the ``tensordot``
+weight gradient is the test-only ``conv_weight_grad_reference``.
 
 Each graph layer kind is one class, registered by name in ``LAYER_KINDS``;
 the class alone knows its hyper-parameters, shapes and parameter count.
@@ -30,18 +39,32 @@ from .errors import GraphError, ShapeError
 from .tensor import DEFAULT_DTYPE, Param
 
 
+# Bytes of im2col columns a convolution builds at a time: a batch is lowered
+# in chunks of as many frames as fit, so the columns stay in cache. 2 MiB is
+# the smallest power of two that holds the columns of a batch-64 3CL-2FC
+# conv2 at 64x64 (1.8 MB), which training therefore keeps. Swept at 0.5-8 MiB
+# on a 2-CPU Xeon (2 MiB L2 per core, 1 BLAS thread), that net's three convs
+# took 41-45 ms per train step at 1-4 MiB, against 49 and 55 ms at 0.5 and
+# 8 MiB.
+CONV_CHUNK_BYTES = 2 << 20
+
+
 def conv_out_extent(extent: int, kernel: int, stride: int) -> int:
     return (extent - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Unfold (N,C,H,W) into (N, C*k*k, positions) patch columns."""
+def im2col(x: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = None
+           ) -> np.ndarray:
+    """Unfold (N,C,H,W) into (N, C*k*k, positions) patch columns, written
+    into the contiguous ``out`` when one is given."""
     n, c, _, _ = x.shape
     win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
     ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kernel * kernel, ho * wo)
-    return np.ascontiguousarray(cols)
+    if out is None:
+        out = np.empty((n, c * kernel * kernel, ho * wo), dtype=x.dtype)
+    np.copyto(out.reshape(n, c, kernel, kernel, ho, wo), win.transpose(0, 1, 4, 5, 2, 3))
+    return out
 
 
 def col2im(cols: np.ndarray, x_shape: tuple, kernel: int, stride: int) -> np.ndarray:
@@ -182,6 +205,20 @@ class Conv2d(Layer):
     def params(self):
         return [self.weight, self.bias]
 
+    def _column_chunks(self, x: np.ndarray):
+        """Yield (frame slice, its im2col columns) over ``x`` in chunks of as
+        many frames as fit in ``CONV_CHUNK_BYTES`` of columns, at least one;
+        every chunk's columns are written into one buffer."""
+        n, c, h, w = x.shape
+        k, s = self.kernel, self.stride
+        frame = c * k * k * conv_out_extent(h, k, s) * conv_out_extent(w, k, s)
+        step = max(1, CONV_CHUNK_BYTES // (frame * x.itemsize))
+        buf = None
+        for a in range(0, n, step):
+            frames = slice(a, a + step)
+            buf = im2col(x[frames], k, s, None if buf is None else buf[: n - a])
+            yield frames, buf
+
     def forward(self, x, train):
         if x.ndim != 4:
             raise ShapeError(f"conv2d expects a 4-D input, got shape {x.shape}")
@@ -196,27 +233,71 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"conv2d kernel {k}x{k} larger than input spatial extent {h}x{w}"
             )
-        cols = im2col(x, k, self.stride)
-        wmat = self.weight.value.reshape(od, -1)
-        out = np.matmul(wmat, cols)
         ho = conv_out_extent(h, k, self.stride)
         wo = conv_out_extent(w, k, self.stride)
+        wmat = self.weight.value.reshape(od, -1)
+        out = np.empty((n, od, ho * wo), dtype=np.result_type(wmat, x))
+        for frames, cols in self._column_chunks(x):
+            np.matmul(wmat, cols, out=out[frames])
         out = out.reshape(n, od, ho, wo) + self.bias.value[:, None, None]
-        self._cache = (x.shape, cols) if train else None
+        # the columns of a one-chunk batch are kept; backward rebuilds others
+        self._cache = (x, cols if len(cols) == n else None) if train else None
         return out
 
     def backward(self, grad_out):
-        x_shape, cols = self._need_cache()
+        x, cached = self._need_cache()
         n, od, ho, wo = grad_out.shape
         g = grad_out.reshape(n, od, ho * wo)
-        # dW: one batched matmul (n, od, P) x (n, P, C*k*k) summed over the
-        # batch, which reads ``cols`` in place
-        dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.weight.add_grad(dw.reshape(self.weight.value.shape))
-        self.bias.add_grad(grad_out.sum(axis=(0, 2, 3)))
         wmat = self.weight.value.reshape(od, -1)
-        dcols = np.matmul(wmat.T, g)
-        return col2im(dcols, x_shape, self.kernel, self.stride)
+        # each frame's dW product lands in ``dw``; the batch sum comes last
+        dw = np.empty((n,) + wmat.shape, dtype=np.result_type(g, x))
+        chunks = self._column_chunks(x) if cached is None else [(slice(None), cached)]
+        # rebuilt columns are spent once dW has read them, so the chunk's
+        # column gradient overwrites them in the same cache-sized buffer
+        reuse = cached is None and np.result_type(wmat, g) == x.dtype
+        dx = []
+        for frames, cols in chunks:
+            gf = g[frames]
+            if ho * wo == 1:
+                # one output position: each frame's product is an outer
+                # product, exact either way, which matmul forms slowly
+                np.multiply(gf, cols.transpose(0, 2, 1), out=dw[frames])
+            else:
+                np.matmul(gf, cols.transpose(0, 2, 1), out=dw[frames])
+            dcols = np.matmul(wmat.T, gf, out=cols if reuse else None)
+            dx.append(col2im(dcols, (len(gf),) + x.shape[1:], self.kernel, self.stride))
+        self.weight.add_grad(dw.sum(axis=0).reshape(self.weight.value.shape))
+        self.bias.add_grad(grad_out.sum(axis=(0, 2, 3)))
+        # a one-chunk batch's input gradient is col2im's own array, not a copy
+        return dx[0] if len(dx) == 1 else np.concatenate(dx)
+
+
+def conv_forward_reference(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                           stride: int) -> np.ndarray:
+    """Slow twin of ``Conv2d.forward``: one im2col and one matmul over the
+    whole batch. Test-only."""
+    od, _, k, _ = weight.shape
+    n, _, h, w = x.shape
+    cols = im2col(x, k, stride)
+    out = np.matmul(weight.reshape(od, -1), cols)
+    ho = conv_out_extent(h, k, stride)
+    wo = conv_out_extent(w, k, stride)
+    return out.reshape(n, od, ho, wo) + bias[:, None, None]
+
+
+def conv_backward_reference(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
+                            stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slow twin of ``Conv2d.backward``: (dx, dW, db) from the whole batch's
+    columns at once. Test-only."""
+    n, od, ho, wo = grad_out.shape
+    k = weight.shape[2]
+    cols = im2col(x, k, stride)
+    g = grad_out.reshape(n, od, ho * wo)
+    dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+    wmat = weight.reshape(od, -1)
+    dcols = np.matmul(wmat.T, g)
+    return (col2im(dcols, x.shape, k, stride), dw.reshape(weight.shape),
+            grad_out.sum(axis=(0, 2, 3)))
 
 
 def conv_weight_grad_reference(g: np.ndarray, cols: np.ndarray) -> np.ndarray:

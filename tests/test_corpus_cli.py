@@ -2,6 +2,8 @@
 
 import pytest
 
+from conedrive import corpus
+from conedrive.bench import hardware_description
 from conedrive.checkpoint import save_checkpoint
 from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
                            main)
@@ -85,6 +87,14 @@ class TestCli:
         assert (out / "manifest.tsv").exists()
         assert (out / "run_info.txt").exists()
         assert (out / "corpus" / "telemetry.csv").exists()
+
+    def test_run_info_records_blas_and_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        out = tmp_path / "prep"
+        assert main(["prep", "--synth", "20", "--out", str(out)]) == EXIT_OK
+        lines = (out / "run_info.txt").read_text().splitlines()
+        assert f"hardware: {hardware_description()}" in lines
+        assert any("blas " in ln and "OPENBLAS_NUM_THREADS=3" in ln for ln in lines)
 
     def test_prep_missing_csv_exit_code(self, tmp_path):
         code = main(["prep", "--telemetry", str(tmp_path / "nope.csv"),
@@ -364,6 +374,43 @@ class TestCli:
                      "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path / "t")])
         assert code == EXIT_USAGE
         assert not (tmp_path / "t" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("flag", ["--manifest", "--telemetry", "--frames"])
+    def test_drive_flag_with_synth_is_a_usage_error(self, tmp_path, capsys, flag):
+        code = main(["train", "--synth", "40", flag, str(tmp_path / "absent"),
+                     "--task", "discrete", "--arch", "1CL-1FC", "--image-size", "16",
+                     "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path / "t")])
+        assert code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "t" / "model.ckpt").exists()
+
+    def test_render_limit_decodes_only_the_rendered_frames(self, corpus_dir, tmp_path,
+                                                           monkeypatch):
+        prep = tmp_path / "prep"
+        assert main(["prep", "--telemetry", str(corpus_dir / "telemetry.csv"),
+                     "--frames", str(corpus_dir / "frames"),
+                     "--out", str(prep)]) == EXIT_OK
+        drive = ["--manifest", str(prep / "manifest.tsv"),
+                 "--telemetry", str(corpus_dir / "telemetry.csv"),
+                 "--frames", str(corpus_dir / "frames"), "--split", "val",
+                 "--image-size", "256"]
+        load_image = corpus.load_image
+        decoded = []
+
+        def counted(path, **kwargs):
+            decoded.append(path)
+            return load_image(path, **kwargs)
+
+        monkeypatch.setattr(corpus, "load_image", counted)
+        frames = {}
+        for name, limit in (("all", []), ("two", ["--limit", "2"])):
+            decoded.clear()
+            out = tmp_path / name
+            assert main(["render", *drive, *limit, "--out", str(out)]) == EXIT_OK
+            frames[name] = [p.read_bytes() for p in sorted((out / "sim").iterdir())]
+        assert len(frames["all"]) == 12
+        assert len(decoded) == 2
+        assert frames["two"] == frames["all"][:2]
 
     def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "taken"

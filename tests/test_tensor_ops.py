@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conedrive import layers
 from conedrive.errors import GraphError, ShapeError
 from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
-                              MaxPool2d, ReLU, ScaledSigmoid,
-                              conv_weight_grad_reference, im2col,
+                              MaxPool2d, ReLU, ScaledSigmoid, conv_backward_reference,
+                              conv_forward_reference, conv_weight_grad_reference, im2col,
                               maxpool_backward_reference, maxpool_forward_reference,
                               softmax)
 from conedrive.tensor import Param
@@ -74,6 +75,30 @@ def conv_cases(draw):
     x = rng.standard_normal((n, c, h, w)).astype(dtype)
     out_shape = (n, od, (h - k) // s + 1, (w - k) // s + 1)
     return conv, x, rng.standard_normal(out_shape).astype(dtype)
+
+
+@st.composite
+def chunked_conv_cases(draw):
+    """(conv, x, grad_out, frames per chunk): batch 1-9 lowered in chunks of
+    1 to batch frames, so the chunks divide the batch or leave a shorter
+    tail; kernel 1-5, stride 1-3, layer and input each float32 or float64,
+    and in about half the cases a single output position (P = 1)."""
+    k = draw(st.integers(1, 5))
+    s = draw(st.integers(1, 3))
+    n, c, od = (draw(st.integers(1, 9)), draw(st.integers(1, 3)),
+                draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        h, w = k + draw(st.integers(0, s - 1)), k + draw(st.integers(0, s - 1))
+    else:
+        h, w = draw(st.integers(k, 13)), draw(st.integers(k, 13))
+    dtype, x_dtype = (draw(st.sampled_from([np.float32, np.float64]))
+                      for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conv = Conv2d(c, od, k, s, rng, dtype)
+    x = rng.standard_normal((n, c, h, w)).astype(x_dtype)
+    out_shape = (n, od, (h - k) // s + 1, (w - k) // s + 1)
+    return (conv, x, rng.standard_normal(out_shape).astype(np.result_type(dtype, x_dtype)),
+            draw(st.integers(1, n)))
 
 
 def assert_same(got, want):
@@ -155,6 +180,38 @@ class TestConv2d:
         tol = 1e-12 if x.dtype == np.float64 else n * ho * wo * np.finfo(x.dtype).eps
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol * scale)
         np.testing.assert_array_equal(conv.bias.grad, grad.sum(axis=(0, 2, 3)))
+
+    @given(chunked_conv_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_chunked_matches_whole_batch_twins(self, case):
+        conv, x, grad, step = case
+        n, od, ho, wo = grad.shape
+        k, s = conv.kernel, conv.stride
+        frame_bytes = x.shape[1] * k * k * ho * wo * x.itemsize
+        lowered = []
+
+        def counted(*args, **kwargs):
+            lowered.append(len(args[0]))
+            return im2col(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layers, "CONV_CHUNK_BYTES", step * frame_bytes + frame_bytes - 1)
+            mp.setattr(layers, "im2col", counted)
+            evaluated = conv.forward(x, train=False)
+            out = conv.forward(x, train=True)
+            dx = conv.backward(grad)
+        chunks = [min(step, n - a) for a in range(0, n, step)]
+        # backward rebuilds the columns only of a batch that spans chunks
+        assert lowered == chunks * (2 if len(chunks) == 1 else 3)
+        want = conv_forward_reference(x, conv.weight.value, conv.bias.value, s)
+        assert_same(evaluated, want)
+        assert_same(out, want)
+        want_dx, want_dw, want_db = conv_backward_reference(x, conv.weight.value,
+                                                            grad, s)
+        assert_same(dx, want_dx)
+        # parameter gradients are stored in the parameter's dtype
+        assert_same(conv.weight.grad, want_dw.astype(conv.weight.value.dtype))
+        assert_same(conv.bias.grad, want_db.astype(conv.bias.value.dtype))
 
     def test_backward_requires_train_forward(self):
         conv = make_conv(1, 1, 3, 1)

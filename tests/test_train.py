@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conedrive import layers
 from conedrive.checkpoint import load_checkpoint, save_checkpoint
 from conedrive.data import classification_arrays, regression_arrays
 from conedrive.errors import DivergenceError, GraphError
@@ -156,6 +157,21 @@ class TestTrainLoop:
             result = train(model, train_data, val_data, self.config(seed=9))
             losses.append([s.train_loss for s in result.history])
         assert losses[0] == losses[1]
+
+    def test_conv_chunk_budget_leaves_training_byte_identical(self, monkeypatch):
+        train_data, val_data = small_sets(n=48, size=32)
+        runs = []
+        # one frame per chunk; conv1 in chunks of 3, 3 and 2; the whole batch
+        for budget in (1, 3 * 75 * 14 * 14 * 4, 1 << 40):
+            monkeypatch.setattr(layers, "CONV_CHUNK_BYTES", budget)
+            model = Model(make_discrete_model("2CL-2FC", input_hw=32), seed=3)
+            result = train(model, train_data, val_data,
+                           self.config(epochs=2, batch_size=8, seed=4))
+            runs.append(([(s.epoch, s.lr, s.train_loss, s.val_metric)
+                          for s in result.history],
+                         [(name, value.tobytes())
+                          for name, value in model.state_tensors()]))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_toy_cross_entropy_monotone_non_increasing(self):
         # two linearly separable points, full-batch descent at a small rate
