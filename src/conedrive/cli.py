@@ -13,6 +13,15 @@ before it runs, and exits with a category-specific code:
 
 A flat key=value config file may supply any flag of the chosen subcommand
 (``--config run.cfg``); flags given on the command line override the file.
+
+A checkpoint fixes its model's task, layers and input size. ``eval``,
+``activations`` and ``render`` take no --image-size: the first two read
+frames at the checkpoint's size, and ``render`` always draws 256x256 camera
+frames, so a --checkpoint of another size is a usage error. ``train
+--resume`` and ``bench --checkpoint`` refuse any --arch, and a --task or
+--image-size that disagrees with the checkpoint. A flag that does not apply
+where it is given (--telemetry with --synth, say) is a usage error naming
+the flag, reported before any frame is synthesized or decoded.
 """
 from __future__ import annotations
 
@@ -34,7 +43,7 @@ from .errors import (CheckpointError, DataError, DivergenceError, GraphError,
 from .graph import Model
 from .metrics import (eval_classification, eval_regression, export_activations,
                       predict, task_of)
-from .overlay import Prediction, render_sequence
+from .overlay import CAMERA_SIZE, Prediction, render_sequence
 from .synth import synth_track_dataset
 from .train import (DEFAULT_FILTER_GRID, DEFAULT_STRIDE_GRID, TrainConfig,
                     grid_search, train, write_grid_table, write_history)
@@ -50,6 +59,7 @@ EXIT_RUNTIME = 5
 TASKS = ("discrete", "real", "brake_throttle")
 SPLITS = ("train", "val", "test")
 RENDER_BATCH_SIZE = 64
+DEFAULT_IMAGE_SIZE = 64
 
 
 def _write_run_info(out_dir, args) -> None:
@@ -82,16 +92,32 @@ def _parse_crop(text):
     return crop
 
 
-def _load_split(args, names, limit=None) -> dict:
-    """{name: pairs} for each split in ``names``, from --synth or from
-    manifest + telemetry + frames, cut to its first ``limit`` pairs (all
-    when None); from a recorded drive only those pairs' frames are decoded."""
+def _refuse(args, where, **fixed) -> None:
+    """Usage error for the first flag in ``fixed`` that was given a value
+    other than the one it maps to; a flag mapped to None may not be given at
+    all. ``where`` names what the flag does not apply to."""
+    for name, value in fixed.items():
+        given = getattr(args, name)
+        if given not in (None, value):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} {given} does not apply {where}"
+                             + ("" if value is None else f", which fixes {flag} {value}"))
+
+
+def _given(value, default):
+    """A flag's value, or ``default`` when it was left out."""
+    return default if value is None else value
+
+
+def _load_split(args, names, image_size, limit=None) -> dict:
+    """{name: pairs} for each split in ``names`` at ``image_size``, from
+    --synth or from manifest + telemetry + frames, cut to its first ``limit``
+    pairs (all when None); from a recorded drive only those pairs' frames are
+    decoded."""
     if args.synth:
-        for flag in ("manifest", "telemetry", "frames", "crop"):
-            if getattr(args, flag):
-                raise ValueError(f"--{flag} applies to a recorded drive, "
-                                 "not to --synth data")
-        split = split_60_20_20(synth_track_dataset(args.synth, args.image_size,
+        _refuse(args, "to --synth data", manifest=None, telemetry=None,
+                frames=None, crop=None)
+        split = split_60_20_20(synth_track_dataset(args.synth, image_size,
                                                    args.seed), args.seed)
         pairs = dict(zip(SPLITS, (split.train, split.validation, split.test)))
         return {name: pairs[name][:limit] for name in names}
@@ -102,13 +128,13 @@ def _load_split(args, names, limit=None) -> dict:
     _require_paths(args.manifest, args.telemetry, args.frames)
     membership, _, _ = read_manifest(args.manifest)
     return {name: load_pairs(membership[name][:limit], args.telemetry, args.frames,
-                             args.image_size, args.crop)
+                             image_size, args.crop)
             for name in names}
 
 
-def _selected_pairs(args, limit=None):
+def _selected_pairs(args, image_size, limit=None):
     """The first ``limit`` pairs (all when None) of the split named by --split."""
-    return _load_split(args, (args.split,), limit)[args.split]
+    return _load_split(args, (args.split,), image_size, limit)[args.split]
 
 
 def _arrays_for(task, pairs):
@@ -119,20 +145,36 @@ def _arrays_for(task, pairs):
     return brake_throttle_arrays(pairs)
 
 
-def _build_model(task, arch, image_size, seed):
-    if task == "discrete":
-        spec = make_discrete_model(arch, input_hw=image_size)
-    elif task == "real":
-        spec = make_realvalue_model(arch, input_hw=image_size)
-    else:
-        spec = make_brake_throttle_model(input_hw=image_size)
-    return Model(spec, seed=seed)
+def _image_size(model) -> int:
+    """The side of the square frames ``model`` takes."""
+    return model.shapes["image"][-1]
 
 
 def _load_model(path) -> Model:
     """The model saved at ``path`` (--checkpoint or --resume)."""
     _require_paths(path)
     return load_checkpoint(path)
+
+
+def _model(args, checkpoint, arch, image_size, task=None) -> Model:
+    """The model saved at ``checkpoint``, which fixes its task, layers and
+    input size; else a new one from --task, --arch and --image-size, where
+    ``task``, ``arch`` and ``image_size`` stand in for a flag left out."""
+    if checkpoint:
+        model = _load_model(checkpoint)
+        _refuse(args, f"to checkpoint {checkpoint}", arch=None,
+                task=task_of(model), image_size=_image_size(model))
+        return model
+    task = _given(args.task, task)
+    input_hw = _given(args.image_size, image_size)
+    if task == "brake_throttle":
+        _refuse(args, "to --task brake_throttle, whose network has one layout",
+                arch=None)
+        spec = make_brake_throttle_model(input_hw=input_hw)
+    else:
+        make = make_discrete_model if task == "discrete" else make_realvalue_model
+        spec = make(_given(args.arch, arch), input_hw=input_hw)
+    return Model(spec, seed=args.seed)
 
 
 def _train_config(args, loss):
@@ -143,13 +185,18 @@ def _train_config(args, loss):
 
 def cmd_prep(args) -> int:
     if args.synth:
+        _refuse(args, "to --synth data", telemetry=None, frames=None)
         corpus_dir = os.path.join(args.out, "corpus")
-        pairs = synth_track_dataset(args.synth, args.image_size, args.seed)
+        pairs = synth_track_dataset(args.synth,
+                                    _given(args.image_size, DEFAULT_IMAGE_SIZE),
+                                    args.seed)
         write_corpus(pairs, corpus_dir)
         telemetry = os.path.join(corpus_dir, "telemetry.csv")
         frames = os.path.join(corpus_dir, "frames")
         print(f"synthetic corpus of {args.synth} frames written to {corpus_dir}")
     else:
+        _refuse(args, "without --synth: prep reads frame timestamps only",
+                image_size=None)
         if not (args.telemetry and args.frames):
             raise DataError("prep needs --telemetry and --frames (or --synth N)")
         telemetry, frames = args.telemetry, args.frames
@@ -169,17 +216,11 @@ def cmd_prep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.resume:
-        model = _load_model(args.resume)
-    elif args.task:
-        model = _build_model(args.task, args.arch, args.image_size, args.seed)
-    else:
+    if not (args.task or args.resume):
         raise ValueError("train needs --task, or --resume with a checkpoint")
+    model = _model(args, args.resume, "3CL-2FC", DEFAULT_IMAGE_SIZE)
     task = task_of(model)
-    if args.task not in (None, task):
-        raise ValueError(f"--task {args.task} disagrees with the {task} head "
-                         f"of checkpoint {args.resume}")
-    split = _load_split(args, ("train", "val"))
+    split = _load_split(args, ("train", "val"), _image_size(model))
     loss = "cross_entropy" if task == "discrete" else "smooth_l1"
     config = _train_config(args, loss)
     train_data = _arrays_for(task, split["train"])
@@ -203,7 +244,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = _load_model(args.checkpoint)
     task = task_of(model)
-    inputs, targets = _arrays_for(task, _selected_pairs(args))
+    inputs, targets = _arrays_for(task, _selected_pairs(args, _image_size(model)))
     evaluate = eval_classification if task == "discrete" else eval_regression
     report = evaluate(model, inputs, targets, args.batch_size)
     path = os.path.join(args.out, "report.txt")
@@ -217,7 +258,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    split = _load_split(args, ("train", "val"))
+    split = _load_split(args, ("train", "val"), args.image_size)
     config = _train_config(args, "smooth_l1")
     results = grid_search(
         args.arch, args.filters, args.strides, config,
@@ -249,7 +290,7 @@ def _parse_grid(text):
 
 
 def cmd_augment(args) -> int:
-    pairs = _load_split(args, ("train",))["train"]
+    pairs = _load_split(args, ("train",), args.image_size)["train"]
     rng = np.random.default_rng(args.seed)
     shifts = rng.integers(-args.shift_range, args.shift_range + 1, size=len(pairs))
     shifted = [shift_augment(p, int(s), args.k) for p, s in zip(pairs, shifts)]
@@ -267,10 +308,15 @@ def cmd_augment(args) -> int:
 
 
 def cmd_render(args) -> int:
-    pairs = _selected_pairs(args, args.limit or None)
+    model = _load_model(args.checkpoint) if args.checkpoint else None
+    size = CAMERA_SIZE if model is None else _image_size(model)
+    if size != CAMERA_SIZE:
+        raise ValueError(f"--checkpoint {args.checkpoint} takes {size}x{size} "
+                         f"frames; render draws {CAMERA_SIZE}x{CAMERA_SIZE} "
+                         "camera frames")
+    pairs = _selected_pairs(args, CAMERA_SIZE, args.limit or None)
     predictions = None
-    if args.checkpoint:
-        model = _load_model(args.checkpoint)
+    if model is not None:
         predictions = _predictions(model, pairs) if pairs else []
     frames_dir = os.path.join(args.out, "sim")
     paths = render_sequence(pairs, predictions, frames_dir)
@@ -294,10 +340,7 @@ def _predictions(model, pairs) -> list[Prediction]:
 
 
 def cmd_bench(args) -> int:
-    if args.checkpoint:
-        model = _load_model(args.checkpoint)
-    else:
-        model = _build_model(args.task, args.arch, args.image_size, args.seed)
+    model = _model(args, args.checkpoint, "4CL-3FC", CAMERA_SIZE, task="real")
     report = bench_forward(model, warmup=args.warmup, iters=args.iters,
                            seed=args.seed)
     write_latency_report(report,
@@ -309,7 +352,8 @@ def cmd_bench(args) -> int:
 
 def cmd_activations(args) -> int:
     model = _load_model(args.checkpoint)
-    inputs, targets = _arrays_for(task_of(model), _selected_pairs(args))
+    inputs, targets = _arrays_for(task_of(model),
+                                  _selected_pairs(args, _image_size(model)))
     path = os.path.join(args.out, "activations.tsv")
     rows = export_activations(model, inputs, targets, path,
                               layer=args.layer, batch_size=args.batch_size)
@@ -323,8 +367,6 @@ def _add_data_flags(p):
     p.add_argument("--manifest", help="dataset manifest from 'prep'")
     p.add_argument("--telemetry", help="telemetry CSV")
     p.add_argument("--frames", help="frames directory with sidecar index")
-    p.add_argument("--image-size", type=int, default=64,
-                   help="square image/network input size (default 64)")
     p.add_argument("--crop", type=_parse_crop, default=None,
                    help="crop rectangle x0,y0,width,height")
 
@@ -356,14 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry")
     p.add_argument("--frames")
     p.add_argument("--synth", type=int, default=0, metavar="N")
-    p.add_argument("--image-size", type=int, default=64)
+    p.add_argument("--image-size", type=int,
+                   help="side of the --synth frames (default 64)")
 
     p = _command(sub, "train", cmd_train, "train a controller network")
     _add_data_flags(p)
     p.add_argument("--task", choices=TASKS,
                    help="required unless --resume gives a checkpoint, whose "
                         "task is used")
-    p.add_argument("--arch", default="3CL-2FC")
+    p.add_argument("--arch", help="default 3CL-2FC; not with --resume or "
+                                  "--task brake_throttle")
+    p.add_argument("--image-size", type=int,
+                   help="network input size (default 64; --resume takes the "
+                        "checkpoint's)")
     p.add_argument("--resume", help="checkpoint to continue from")
     _add_train_flags(p)
 
@@ -375,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "gridsearch", cmd_gridsearch, "filter/stride grid over full runs")
     _add_data_flags(p)
+    p.add_argument("--image-size", type=int, default=DEFAULT_IMAGE_SIZE,
+                   help="network input size (default 64)")
     p.add_argument("--arch", default="4CL-3FC")
     p.add_argument("--filters", type=_parse_grid, default=DEFAULT_FILTER_GRID,
                    help="compressed pairs (default '7,5;5,5;5,3;3,3')")
@@ -384,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "augment", cmd_augment, "shift-translate frames; optional mixed set")
     _add_data_flags(p)
+    p.add_argument("--image-size", type=int, default=DEFAULT_IMAGE_SIZE,
+                   help="side of the frames written (default 64)")
     p.add_argument("--shift-range", type=int, default=24,
                    help="shifts drawn uniformly from [-R, R] pixels")
     p.add_argument("--k", type=float, default=SHIFT_DEGREES_PER_PIXEL,
@@ -393,15 +444,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "render", cmd_render, "overlay frames for visual review")
     _add_data_flags(p)
-    p.add_argument("--checkpoint", help="render this model's predictions too")
+    p.add_argument("--checkpoint", help="render this model's predictions too; "
+                                        "it must take 256x256 frames")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--limit", type=int, default=0, help="render first N pairs only")
 
     p = _command(sub, "bench", cmd_bench, "forward-pass latency report")
-    p.add_argument("--task", choices=TASKS, default="real")
-    p.add_argument("--arch", default="4CL-3FC")
-    p.add_argument("--checkpoint", help="bench a trained model instead")
-    p.add_argument("--image-size", type=int, default=256)
+    p.add_argument("--task", choices=TASKS, help="default real")
+    p.add_argument("--arch", help="default 4CL-3FC")
+    p.add_argument("--checkpoint", help="bench a trained model instead; it "
+                                        "fixes the task, layers and input size")
+    p.add_argument("--image-size", type=int, help="default 256")
     p.add_argument("--warmup", type=int, default=50)
     p.add_argument("--iters", type=int, default=1000)
 

@@ -144,15 +144,6 @@ class ModelSpec:
                 node.name, dict(node.layer.hyper), ins)
         return shapes
 
-    def parameter_count(self) -> int:
-        """Closed-form trainable parameter count (running stats excluded)."""
-        shapes = self.infer_shapes()
-        return sum(
-            node.layer.layer_class.param_count(
-                dict(node.layer.hyper), [shapes[src] for src in node.inputs])
-            for node in self.nodes
-        )
-
     def to_text(self) -> str:
         lines = [TEXT_HEADER]
         for name, shape in self.inputs:

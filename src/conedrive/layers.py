@@ -126,11 +126,6 @@ class Layer:
         """A layer for these hyper-parameters and (batchless) input shapes."""
         return cls(**hyper)
 
-    @classmethod
-    def param_count(cls, hyper: dict, in_shapes: list[tuple[int, ...]]) -> int:
-        """Trainable parameters (running statistics excluded)."""
-        return 0
-
     def params(self) -> list[Param]:
         return []
 
@@ -184,11 +179,6 @@ class Conv2d(Layer):
     def build(cls, hyper, in_shapes, rng, dtype):
         return cls(in_shapes[0][0], hyper["out_depth"], hyper["kernel"],
                    hyper["stride"], rng, dtype)
-
-    @classmethod
-    def param_count(cls, hyper, in_shapes):
-        od, k = hyper["out_depth"], hyper["kernel"]
-        return od * in_shapes[0][0] * k * k + od
 
     def __init__(self, in_depth: int, out_depth: int, kernel: int, stride: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -424,10 +414,6 @@ class BatchNorm2d(Layer):
     def build(cls, hyper, in_shapes, rng, dtype):
         return cls(in_shapes[0][0], dtype=dtype)
 
-    @classmethod
-    def param_count(cls, hyper, in_shapes):
-        return 2 * in_shapes[0][0]
-
     def __init__(self, channels: int, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.gamma = Param("gamma", np.ones(channels, dtype=dtype))
@@ -508,10 +494,6 @@ class Linear(Layer):
     def build(cls, hyper, in_shapes, rng, dtype):
         return cls(in_shapes[0][0], cls._width(hyper), rng, dtype)
 
-    @classmethod
-    def param_count(cls, hyper, in_shapes):
-        return cls._width(hyper) * (in_shapes[0][0] + 1)
-
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
@@ -544,8 +526,8 @@ class Linear(Layer):
 class SoftmaxHead(Linear):
     """Classification head: a linear map to class logits.
 
-    The softmax itself lives in the loss (see ``softmax_cross_entropy``) and
-    in probability queries, so the graph output stays in logit space.
+    The softmax itself lives in the loss (see ``softmax_cross_entropy``), so
+    the graph output stays in logit space.
     """
 
     kind = "softmax_head"
@@ -680,13 +662,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_cross_entropy(logits: np.ndarray, true_class: np.ndarray):
     """Mean cross-entropy of softmaxed logits against 1-based class indices.
 
@@ -707,9 +682,10 @@ def softmax_cross_entropy(logits: np.ndarray, true_class: np.ndarray):
         raise ShapeError(f"class index {bad} out of range [1, {c}]")
     idx = true_class.astype(np.int64) - 1
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), idx]))
-    grad = softmax(logits)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - z[np.arange(n), idx]))
+    grad = e / total
     grad[np.arange(n), idx] -= 1.0
     return loss, (grad / n).astype(logits.dtype)
 

@@ -15,7 +15,6 @@ kernel against its reference, at equal batch shapes.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from .data import BRAKE_THROTTLE_CHANNELS
 from .errors import DataError, GraphError
 from .graph import Model
-from .ppm import write_pgm
 
 N_CLASSES = 3
 
@@ -200,30 +198,3 @@ def export_activations(model: Model, inputs, targets, path,
                          else ",".join(f"{v:.6g}" for v in np.ravel(label)))
             fh.write(f"{vals}\t{label_txt}\n")
     return len(ys)
-
-
-def filter_to_pgm(filter_slice: np.ndarray) -> np.ndarray:
-    """Min-max normalize one k x k filter slice to uint8; constant maps to 128."""
-    lo, hi = float(filter_slice.min()), float(filter_slice.max())
-    if hi == lo:
-        return np.full(filter_slice.shape, 128, dtype=np.uint8)
-    scaled = (filter_slice - lo) / (hi - lo) * 255.0
-    return np.rint(scaled).astype(np.uint8)
-
-
-def export_filters(model: Model, out_dir) -> list[str]:
-    """Write every conv filter slice as a PGM; returns the written paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for node in model.order:
-        if node.layer.kind != "conv":
-            continue
-        weights = model.layers[node.name].weight.value
-        out_depth, in_depth = weights.shape[0], weights.shape[1]
-        for o in range(out_depth):
-            for i in range(in_depth):
-                name = f"{node.name}_o{o:03d}_i{i:03d}.pgm"
-                path = os.path.join(out_dir, name)
-                write_pgm(path, filter_to_pgm(weights[o, i]))
-                written.append(path)
-    return written

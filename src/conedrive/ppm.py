@@ -1,4 +1,4 @@
-"""Binary PPM (P6) / PGM (P5) readers and writers, plus crop-and-resize.
+"""Binary PPM (P6) reader and writer, plus crop-and-resize.
 
 PPM is the image interchange format for the whole toolkit: trivially
 parseable, byte-exact, no external codecs. Only maxval 255 is supported.
@@ -26,15 +26,16 @@ def _read_token(data: bytes, pos: int):
     while pos < n and not data[pos : pos + 1].isspace():
         pos += 1
     if start == pos:
-        raise DataError("malformed PPM/PGM: unexpected end of header")
+        raise DataError("malformed PPM: unexpected end of header")
     return data[start:pos], pos
 
 
-def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    if data[:2] != magic:
-        raise DataError(
-            f"malformed image: expected magic {magic.decode()}, got {data[:2]!r}"
-        )
+def read_ppm(path) -> np.ndarray:
+    """Read binary P6 into (H, W, 3) uint8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:2] != b"P6":
+        raise DataError(f"malformed image: expected magic P6, got {data[:2]!r}")
     pos = 2
     try:
         w_tok, pos = _read_token(data, pos)
@@ -42,28 +43,19 @@ def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
         max_tok, pos = _read_token(data, pos)
         width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
     except ValueError as exc:
-        raise DataError("malformed PPM/PGM header: non-numeric dimension") from exc
+        raise DataError("malformed PPM header: non-numeric dimension") from exc
     if maxval != 255:
         raise DataError(f"unsupported maxval {maxval}; only 255 is handled")
     if width < 1 or height < 1:
         raise DataError(f"bad image dimensions {width}x{height}")
     pos += 1  # single whitespace byte after maxval
-    expected = width * height * channels
+    expected = width * height * 3
     payload = data[pos : pos + expected]
     if len(payload) != expected:
         raise DataError(
             f"truncated image payload: expected {expected} bytes, got {len(payload)}"
         )
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(height, width)
-    return arr.reshape(height, width, channels)
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read binary P6 into (H, W, 3) uint8."""
-    with open(path, "rb") as fh:
-        return _read_netpbm(fh.read(), b"P6", 3)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
@@ -73,22 +65,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     h, w, _ = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read binary P5 into (H, W) uint8."""
-    with open(path, "rb") as fh:
-        return _read_netpbm(fh.read(), b"P5", 1)
-
-
-def write_pgm(path, pixels: np.ndarray) -> None:
-    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
-    if pixels.ndim != 2:
-        raise DataError(f"write_pgm expects (H, W) uint8, got {pixels.shape}")
-    h, w = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
 

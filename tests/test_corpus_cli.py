@@ -1,12 +1,13 @@
 """On-disk corpus formats and the CLI workflows end to end."""
+import argparse
 
 import pytest
 
-from conedrive import corpus
+from conedrive import cli, corpus
 from conedrive.bench import hardware_description
 from conedrive.checkpoint import save_checkpoint
 from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
-                           main)
+                           build_parser, main)
 from conedrive.corpus import (prep_corpus, read_frames_index, read_manifest,
                               write_corpus, write_manifest)
 from conedrive.data import split_60_20_20
@@ -24,6 +25,14 @@ def corpus_dir(tmp_path_factory):
     pairs = synth_track_dataset(60, image_size=32, seed=0)
     write_corpus(pairs, out)
     return out
+
+
+@pytest.fixture
+def real16(tmp_path):
+    """A 16x16 real-value 3CL-2FC checkpoint's path."""
+    ckpt = tmp_path / "real16.ckpt"
+    save_checkpoint(Model(make_realvalue_model("3CL-2FC", input_hw=16), seed=0), ckpt)
+    return str(ckpt)
 
 
 class TestCorpusFormats:
@@ -129,27 +138,24 @@ class TestCli:
         history = (out / "history.tsv").read_text().splitlines()
         assert len(history) == 2 + 2  # header comment + columns + 2 epochs
 
+        # eval and activations read frames at the 16x16 checkpoint's size
         eval_out = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(out / "model.ckpt"),
-                     "--synth", "80", "--image-size", "16", "--batch-size", "8",
+                     "--synth", "80", "--batch-size", "8",
                      "--split", "test", "--out", str(eval_out)])
         assert code == EXIT_OK
         assert "mean_batch_accuracy" in (eval_out / "report.txt").read_text()
 
+        # render builds 256x256 camera frames whatever the other commands use
         render_out = tmp_path / "render"
-        code = main(["render", "--synth", "12", "--image-size", "16",
-                     "--limit", "3", "--out", str(render_out)])
-        assert code == EXIT_BAD_INPUT  # overlay needs 256x256 camera frames
-
-        render_out2 = tmp_path / "render2"
-        code = main(["render", "--synth", "12", "--image-size", "256",
-                     "--limit", "2", "--out", str(render_out2)])
+        code = main(["render", "--synth", "12", "--limit", "2",
+                     "--out", str(render_out)])
         assert code == EXIT_OK
-        assert (render_out2 / "sim" / "sim_000001.ppm").exists()
+        assert (render_out / "sim" / "sim_000001.ppm").exists()
 
         acts_out = tmp_path / "acts"
         code = main(["activations", "--checkpoint", str(out / "model.ckpt"),
-                     "--synth", "80", "--image-size", "16", "--batch-size", "8",
+                     "--synth", "80", "--batch-size", "8",
                      "--out", str(acts_out)])
         assert code == EXIT_OK
         assert (acts_out / "activations.tsv").exists()
@@ -166,7 +172,7 @@ class TestCli:
         save_checkpoint(Model(make_brake_throttle_model(input_hw=16), seed=0), ckpt)
         out = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(ckpt), "--synth", "40",
-                     "--image-size", "16", "--batch-size", "4", "--out", str(out)])
+                     "--batch-size", "4", "--out", str(out)])
         assert code == EXIT_OK
         report = (out / "report.txt").read_text()
         assert "task: brake_throttle" in report
@@ -190,13 +196,12 @@ class TestCli:
         frames, acts = {}, {}
         for name, crop in (("centre", []), ("corner", ["--crop", "0,0,16,16"])):
             out = tmp_path / name
-            assert main(["render", *drive, *crop, "--image-size", "256",
-                         "--limit", "2", "--out", str(out / "render")]) == EXIT_OK
+            assert main(["render", *drive, *crop, "--limit", "2",
+                         "--out", str(out / "render")]) == EXIT_OK
             frames[name] = [p.read_bytes()
                             for p in sorted((out / "render" / "sim").iterdir())]
             assert main(["activations", *drive, *crop, "--checkpoint", str(ckpt),
-                         "--image-size", "16", "--batch-size", "4",
-                         "--out", str(out / "acts")]) == EXIT_OK
+                         "--batch-size", "4", "--out", str(out / "acts")]) == EXIT_OK
             acts[name] = (out / "acts" / "activations.tsv").read_text()
         assert len(frames["centre"]) == len(frames["corner"]) == 2
         for centre, corner in zip(frames["centre"], frames["corner"]):
@@ -213,8 +218,8 @@ class TestCli:
         save_checkpoint(Model(make_spec(), seed=3), ckpt)
         frames = {}
         for name, extra in (("plain", []), ("pred", ["--checkpoint", str(ckpt)])):
-            code = main(["render", "--synth", "12", "--image-size", "256",
-                         "--limit", "2", *extra, "--out", str(tmp_path / name)])
+            code = main(["render", "--synth", "12", "--limit", "2", *extra,
+                         "--out", str(tmp_path / name)])
             assert code == EXIT_OK
             frames[name] = sorted((tmp_path / name / "sim").iterdir())
         assert [p.name for p in frames["pred"]] == ["sim_000001.ppm", "sim_000002.ppm"]
@@ -272,7 +277,7 @@ class TestCli:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"XXXX garbage")
         code = main(["eval", "--checkpoint", str(bad), "--synth", "40",
-                     "--image-size", "16", "--out", str(tmp_path / "o")])
+                     "--out", str(tmp_path / "o")])
         assert code == EXIT_BAD_INPUT
 
     def test_identical_args_reproduce_manifest_bytes(self, tmp_path):
@@ -294,8 +299,7 @@ class TestCli:
         for name in ("e1", "e2"):
             out = tmp_path / name
             code = main(["eval", "--checkpoint", str(run / "model.ckpt"),
-                         "--synth", "40", "--image-size", "16",
-                         "--batch-size", "8", "--out", str(out)])
+                         "--synth", "40", "--batch-size", "8", "--out", str(out)])
             assert code == EXIT_OK
             reports.append((out / "report.txt").read_bytes())
         assert reports[0] == reports[1]
@@ -324,10 +328,11 @@ class TestCli:
         assert history[2].startswith("2\t")  # epoch counter resumed at 2
 
     def test_resume_takes_the_task_from_the_checkpoint(self, tmp_path):
+        # and the input size: the frames are synthesized at 16x16
         ckpt = tmp_path / "real.ckpt"
         save_checkpoint(Model(make_realvalue_model("3CL-2FC", input_hw=16), seed=0), ckpt)
         out = tmp_path / "resumed"
-        code = main(["train", "--synth", "40", "--image-size", "16", "--epochs", "1",
+        code = main(["train", "--synth", "40", "--epochs", "1",
                      "--batch-size", "8", "--resume", str(ckpt), "--out", str(out)])
         assert code == EXIT_OK
         assert "val_l1" in (out / "history.tsv").read_text()
@@ -392,8 +397,7 @@ class TestCli:
                      "--out", str(prep)]) == EXIT_OK
         drive = ["--manifest", str(prep / "manifest.tsv"),
                  "--telemetry", str(corpus_dir / "telemetry.csv"),
-                 "--frames", str(corpus_dir / "frames"), "--split", "val",
-                 "--image-size", "256"]
+                 "--frames", str(corpus_dir / "frames"), "--split", "val"]
         load_image = corpus.load_image
         decoded = []
 
@@ -431,8 +435,7 @@ class TestCli:
 
         monkeypatch.setattr(Model, "forward", recorded)
         code = main(["render", "--synth", "110", "--split", "train", "--limit", "65",
-                     "--image-size", "256", "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "r")])
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "r")])
         assert code == EXIT_OK
         assert sizes == [64, 1]
         assert len(list((tmp_path / "r" / "sim").iterdir())) == 65
@@ -450,6 +453,81 @@ class TestCli:
                  "--telemetry": str(corpus_dir / "telemetry.csv")}
         files[flag] = str(tmp_path)
         code = main(["eval", *(a for kv in files.items() for a in kv),
-                     "--frames", str(corpus_dir / "frames"), "--image-size", "16",
+                     "--frames", str(corpus_dir / "frames"),
                      "--batch-size", "4", "--out", str(tmp_path / "e")])
         assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("argv,named", [
+        (["train", "--resume", "{ckpt}", "--image-size", "32"],
+         ["--image-size 32", "--image-size 16"]),
+        (["train", "--resume", "{ckpt}", "--arch", "3CL-2FC"], ["--arch 3CL-2FC"]),
+        (["train", "--task", "brake_throttle", "--arch", "1CL-1FC"], ["--arch 1CL-1FC"]),
+        (["bench", "--checkpoint", "{ckpt}", "--task", "discrete"],
+         ["--task discrete", "--task real"]),
+        (["bench", "--checkpoint", "{ckpt}", "--arch", "4CL-3FC"], ["--arch 4CL-3FC"]),
+        (["bench", "--checkpoint", "{ckpt}", "--image-size", "32"],
+         ["--image-size 32", "--image-size 16"]),
+        (["prep", "--synth", "20", "--telemetry", "{absent}"], ["--telemetry"]),
+        (["prep", "--synth", "20", "--frames", "{absent}"], ["--frames"]),
+        (["prep", "--telemetry", "{csv}", "--frames", "{frames}", "--image-size", "32"],
+         ["--image-size 32", "--synth"]),
+        (["render", "--synth", "12", "--checkpoint", "{ckpt}"],
+         ["--checkpoint", "16x16", "256x256"]),
+    ], ids=["resume-image-size", "resume-arch", "brake-throttle-arch", "bench-task",
+            "bench-arch", "bench-image-size", "prep-telemetry", "prep-frames",
+            "prep-image-size", "render-checkpoint-size"])
+    def test_flag_that_does_not_apply_is_refused_before_any_work(
+            self, tmp_path, corpus_dir, real16, capsys, monkeypatch, argv, named):
+        paths = {"ckpt": real16, "absent": str(tmp_path / "absent"),
+                 "csv": str(corpus_dir / "telemetry.csv"),
+                 "frames": str(corpus_dir / "frames")}
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("frames built before the refusal")
+
+        monkeypatch.setattr(cli, "synth_track_dataset", no_frames)
+        monkeypatch.setattr(corpus, "load_image", no_frames)
+        train = ["--synth", "40", "--epochs", "1", "--batch-size", "8"]
+        bench = ["--iters", "100", "--warmup", "0"]
+        extra = {"train": train, "bench": bench}.get(argv[0], [])
+        out = tmp_path / "out"
+        code = main([a.format(**paths) for a in argv] + extra + ["--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(text in err for text in named), err
+        assert [p.name for p in out.iterdir()] == ["run_info.txt"]
+
+    def test_bench_checkpoint_accepts_flags_that_agree(self, tmp_path, real16):
+        out = tmp_path / "bench"
+        code = main(["bench", "--checkpoint", real16, "--task", "real",
+                     "--image-size", "16", "--iters", "100", "--warmup", "0",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "latency.txt").exists()
+
+    def test_flag_inventory(self):
+        # a flag added, removed or renamed shows up here as a reviewed edit
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        shared = {"--seed", "--out"}
+        data = {"--synth", "--manifest", "--telemetry", "--frames", "--crop"}
+        sgd = {"--lr", "--decay", "--batch-size", "--epochs"}
+        flags = {name: {a.option_strings[0] for a in p._actions
+                        if not isinstance(a, argparse._HelpAction)}
+                 for name, p in sub.choices.items()}
+        assert flags == {
+            "prep": shared | {"--telemetry", "--frames", "--synth", "--image-size"},
+            "train": shared | data | sgd | {"--image-size", "--task", "--arch",
+                                            "--resume"},
+            "eval": shared | data | {"--checkpoint", "--split", "--batch-size"},
+            "gridsearch": shared | data | sgd | {"--image-size", "--arch",
+                                                 "--filters", "--strides"},
+            "augment": shared | data | {"--image-size", "--shift-range", "--k",
+                                        "--mixed-size"},
+            "render": shared | data | {"--checkpoint", "--split", "--limit"},
+            "bench": shared | {"--task", "--arch", "--checkpoint", "--image-size",
+                               "--warmup", "--iters"},
+            "activations": shared | data | {"--checkpoint", "--split", "--layer",
+                                            "--batch-size"},
+        }
+        assert sum(map(len, flags.values())) == 86

@@ -1,11 +1,11 @@
-"""PPM/PGM round trips, crop-and-resize, and the synthetic track generator."""
+"""PPM round trips, crop-and-resize, and the synthetic track generator."""
 import numpy as np
 import pytest
 
 from conedrive.data import discretize_steering
 from conedrive.errors import DataError
 from conedrive.ppm import (bilinear_resize, default_center_crop, load_image,
-                           read_pgm, read_ppm, to_u8, write_pgm, write_ppm)
+                           read_ppm, to_u8, write_ppm)
 from conedrive.synth import (brake_for, motor_raw_for, render_track_frame,
                              synth_track_dataset, throttle_for)
 
@@ -17,12 +17,6 @@ class TestNetpbm:
         path = tmp_path / "img.ppm"
         write_ppm(path, pixels)
         np.testing.assert_array_equal(read_ppm(path), pixels)
-
-    def test_pgm_roundtrip(self, tmp_path):
-        pixels = np.arange(20, dtype=np.uint8).reshape(4, 5)
-        path = tmp_path / "img.pgm"
-        write_pgm(path, pixels)
-        np.testing.assert_array_equal(read_pgm(path), pixels)
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "img.ppm"

@@ -1,6 +1,4 @@
-"""Evaluation metrics, the confusion identity, and activation/filter exports."""
-import os
-
+"""Evaluation metrics, the confusion identity, and activation exports."""
 import numpy as np
 import pytest
 
@@ -10,8 +8,7 @@ from conedrive.errors import DataError, GraphError
 from conedrive.graph import Model
 from conedrive.metrics import (ConfusionMatrix, default_activation_layer,
                                eval_classification, eval_regression,
-                               export_activations, export_filters, filter_to_pgm,
-                               predict)
+                               export_activations, predict)
 from conedrive.synth import synth_track_dataset
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
                            make_realvalue_model)
@@ -223,20 +220,3 @@ class TestExports:
         with pytest.raises(GraphError, match="conv1"):
             export_activations(model, inputs, targets, tmp_path / "x.tsv",
                                layer="nope")
-
-    def test_filter_slice_count_for_3cl(self, tmp_path):
-        model = Model(make_discrete_model("3CL-2FC", input_hw=32), seed=0)
-        paths = export_filters(model, tmp_path / "filters")
-        conv3 = [p for p in paths if os.path.basename(p).startswith("conv3")]
-        assert len(conv3) == 32 * 16
-        assert len(paths) == 8 * 3 + 16 * 8 + 32 * 16
-
-    def test_identity_like_filter_has_single_peak(self):
-        f = np.zeros((3, 3))
-        f[1, 1] = 1.0
-        img = filter_to_pgm(f)
-        assert img[1, 1] == 255
-        assert (img == 255).sum() == 1
-
-    def test_constant_filter_maps_to_mid_gray(self):
-        np.testing.assert_array_equal(filter_to_pgm(np.full((5, 5), 0.3)), 128)

