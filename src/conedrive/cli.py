@@ -21,7 +21,8 @@ frames, so a --checkpoint of another size is a usage error. ``train
 --resume`` and ``bench --checkpoint`` refuse any --arch, and a --task or
 --image-size that disagrees with the checkpoint. A flag that does not apply
 where it is given (--telemetry with --synth, say) is a usage error naming
-the flag, reported before any frame is synthesized or decoded.
+the flag, reported before any frame is synthesized or decoded. So is a
+--synth N below ``synth.MIN_FRAMES``, refused while the flags are parsed.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from .graph import Model
 from .metrics import (eval_classification, eval_regression, export_activations,
                       predict, task_of)
 from .overlay import CAMERA_SIZE, Prediction, render_sequence
-from .synth import synth_track_dataset
+from .synth import MIN_FRAMES, synth_track_dataset
 from .train import (DEFAULT_FILTER_GRID, DEFAULT_STRIDE_GRID, TrainConfig,
                     grid_search, train, write_grid_table, write_history)
 from .zoo import (make_brake_throttle_model, make_discrete_model,
@@ -90,6 +91,18 @@ def _parse_crop(text):
         raise argparse.ArgumentTypeError(
             f"a crop is four integers x0,y0,width,height, got {text!r}")
     return crop
+
+
+def _parse_synth(text):
+    """--synth N: a frame count of at least ``synth.MIN_FRAMES``."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < MIN_FRAMES:
+        raise argparse.ArgumentTypeError(
+            f"a synthetic dataset has at least {MIN_FRAMES} frames, got {text!r}")
+    return n
 
 
 def _refuse(args, where, **fixed) -> None:
@@ -362,8 +375,9 @@ def cmd_activations(args) -> int:
 
 
 def _add_data_flags(p):
-    p.add_argument("--synth", type=int, default=0, metavar="N",
-                   help="generate an N-frame synthetic track dataset")
+    p.add_argument("--synth", type=_parse_synth, default=0, metavar="N",
+                   help=f"generate an N-frame synthetic track dataset "
+                        f"(N >= {MIN_FRAMES})")
     p.add_argument("--manifest", help="dataset manifest from 'prep'")
     p.add_argument("--telemetry", help="telemetry CSV")
     p.add_argument("--frames", help="frames directory with sidecar index")
@@ -397,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "prep", cmd_prep, "parse, scale, pair, split; write manifest")
     p.add_argument("--telemetry")
     p.add_argument("--frames")
-    p.add_argument("--synth", type=int, default=0, metavar="N")
+    p.add_argument("--synth", type=_parse_synth, default=0, metavar="N",
+                   help=f"write an N-frame synthetic corpus (N >= {MIN_FRAMES})")
     p.add_argument("--image-size", type=int,
                    help="side of the --synth frames (default 64)")
 

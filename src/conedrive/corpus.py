@@ -13,7 +13,8 @@ import os
 import numpy as np
 
 from .data import (DatasetSplit, FramePair, MOTOR_SCALE, TELEMETRY_HEADER,
-                   pair_nearest, parse_telemetry, scale_records, split_60_20_20)
+                   pair_nearest, parse_telemetry, scale_records, scale_signals,
+                   split_60_20_20)
 from .errors import DataError
 from .ppm import load_image, to_u8, write_ppm
 
@@ -136,10 +137,12 @@ def prep_corpus(telemetry_path, frames_dir, seed: int):
 
 def load_pairs(membership_rows, telemetry_path, frames_dir,
                image_size: int = 256, crop=None) -> list[FramePair]:
-    """Materialize manifest rows into FramePairs with images loaded."""
+    """Materialize manifest rows into FramePairs with images loaded.
+
+    The whole log is parsed, since a log row indexes its valid records, but
+    only the rows loaded are scaled."""
     with open(telemetry_path) as fh:
         records, _ = parse_telemetry(fh.read())
-    records, _ = scale_records(records)
     pairs = []
     for log_row, frame_index in membership_rows:
         if not 0 <= log_row < len(records):
@@ -148,5 +151,6 @@ def load_pairs(membership_rows, telemetry_path, frames_dir,
             os.path.join(frames_dir, frame_filename(frame_index)),
             crop=crop, target=image_size,
         )
-        pairs.append(FramePair(image, records[log_row], log_row, frame_index))
+        record, _ = scale_signals(records[log_row])
+        pairs.append(FramePair(image, record, log_row, frame_index))
     return pairs

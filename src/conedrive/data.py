@@ -252,7 +252,7 @@ def build_mixed_set(normal_pairs, shifted_pairs, size: int, seed: int):
 
 def classification_arrays(pairs):
     """(inputs, targets) arrays for the discrete steering task (1-based classes)."""
-    x = np.stack([p.image for p in pairs]).astype(np.float32)
+    x = np.stack([p.image for p in pairs]).astype(np.float32, copy=False)
     y = np.array([int(discretize_steering(p.record.steering)) for p in pairs],
                  dtype=np.int64)
     return {"image": x}, y
@@ -260,7 +260,7 @@ def classification_arrays(pairs):
 
 def regression_arrays(pairs):
     """(inputs, targets) arrays for the real-value steering task."""
-    x = np.stack([p.image for p in pairs]).astype(np.float32)
+    x = np.stack([p.image for p in pairs]).astype(np.float32, copy=False)
     y = np.array([[p.record.steering] for p in pairs], dtype=np.float32)
     return {"image": x}, y
 
@@ -272,7 +272,7 @@ def brake_throttle_arrays(pairs):
     """(inputs, targets) arrays for the brake/throttle task; motor speeds are
     the scaled (left, right) pair, target columns follow
     ``BRAKE_THROTTLE_CHANNELS``."""
-    x = np.stack([p.image for p in pairs]).astype(np.float32)
+    x = np.stack([p.image for p in pairs]).astype(np.float32, copy=False)
     motor = np.array(
         [[p.record.left_motor_speed, p.record.right_motor_speed] for p in pairs],
         dtype=np.float32,

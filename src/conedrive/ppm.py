@@ -2,8 +2,23 @@
 
 PPM is the image interchange format for the whole toolkit: trivially
 parseable, byte-exact, no external codecs. Only maxval 255 is supported.
+
+``load_image`` decodes byte-first. From the uint8 crop it gathers only the
+pixels its bilinear taps read: the two source rows of each output row, then
+the two source columns of each output column. It converts just those bytes
+to [0, 1] (float32 division by 255, then float64) and blends them in
+(C, H, W) layout, in place. The gather indices and weights form a
+resampling plan, cached per (crop height, crop width, output height,
+output width) and read-only, since every call shares it. A crop already at
+the target size is only converted. Conversion is per element, and each
+output element goes through the same float64 products and sums, in the same
+order, as in the float (H, W, C) resample that converts the whole crop
+first. That resample is kept as ``bilinear_resize_reference``, the
+test-only twin a property test pins ``load_image`` to byte for byte.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -68,8 +83,10 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample of (H, W, C) float data; identity when sizes match."""
+def bilinear_resize_reference(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample of (H, W, C) float data; identity when sizes match.
+
+    The twin of ``load_image``'s byte-first resample. Test-only."""
     h, w = image.shape[:2]
     if (h, w) == (out_h, out_w):
         return image.copy()
@@ -86,6 +103,42 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
     bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
     return top * (1 - wy) + bot * wy
+
+
+_U8_MAX = np.float32(255.0)
+
+
+def _to_unit(u8: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``u8.astype(float32) / 255`` written into ``out`` in one pass; a
+    float64 ``out`` receives the float32 quotients widened exactly."""
+    return np.divide(u8, _U8_MAX, out=out, dtype=np.float32)
+
+
+@functools.lru_cache(maxsize=4)
+def _resample_plan(h: int, w: int, out_h: int, out_w: int):
+    """Gather indices and weights resampling an (h, w, 3) crop to
+    (out_h, out_w), those of ``bilinear_resize_reference``; read-only.
+
+    ``rows`` picks the top source row of each output row, then the bottom
+    one. ``taps`` indexes the flattened (2*out_h, w, 3) row gather, laid
+    out (left/right column tap, channel, 2*out_h rows, out_w columns).
+    Then come the weights of the top, bottom, left and right taps."""
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = xs - x0
+    rows = np.concatenate([y0, y1])
+    taps = (np.arange(2 * out_h)[:, None] * (3 * w)
+            + 3 * np.stack([x0, x1])[:, None, None, :]
+            + np.arange(3)[:, None, None])
+    plan = (rows, taps, 1 - wy, wy, 1 - wx, wx)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def default_center_crop(h: int, w: int) -> tuple[int, int, int, int]:
@@ -110,9 +163,20 @@ def load_image(path, crop: tuple[int, int, int, int] | None = None,
         raise DataError(
             f"crop rectangle {crop} out of bounds for {w}x{h} frame"
         )
-    window = raw[y0 : y0 + ch, x0 : x0 + cw].astype(np.float32) / 255.0
-    resized = bilinear_resize(window, target, target)
-    return np.ascontiguousarray(resized.transpose(2, 0, 1), dtype=np.float32)
+    window = raw[y0 : y0 + ch, x0 : x0 + cw]
+    out = np.empty((3, target, target), dtype=np.float32)
+    if (ch, cw) == (target, target):
+        return _to_unit(window.transpose(2, 0, 1), out)
+    rows, taps, wy0, wy1, wx0, wx1 = _resample_plan(ch, cw, target, target)
+    gathered = np.take(window[rows], taps)
+    left, right = _to_unit(gathered, np.empty(gathered.shape))
+    left *= wx0
+    right *= wx1
+    left += right  # column blend of the top rows, then the bottom rows
+    top, bottom = left[:, :target], left[:, target:]
+    top *= wy0
+    bottom *= wy1
+    return np.add(top, bottom, out=out)
 
 
 def to_u8(image_chw: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ SKY_GRAY = 0.50
 ROAD_GRAY = 0.20
 NOISE_SIGMA = 0.02
 DOTS_PER_RAIL = 12
+MIN_FRAMES = 10  # fewest frames a synthetic dataset may have
 
 
 def throttle_for(steering: float) -> float:
@@ -79,8 +80,8 @@ def render_track_frame(size: int, x_offset: float) -> np.ndarray:
 
 def synth_track_dataset(n: int, image_size: int = 64, seed: int = 0) -> list[FramePair]:
     """Generate n labeled FramePairs; identical bytes for identical seeds."""
-    if n < 10:
-        raise DataError(f"synthetic dataset needs n >= 10, got {n}")
+    if n < MIN_FRAMES:
+        raise DataError(f"synthetic dataset needs n >= {MIN_FRAMES}, got {n}")
     rng = np.random.default_rng(seed)
     half = image_size / 2.0
     pairs = []

@@ -10,11 +10,11 @@ from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USA
                            build_parser, main)
 from conedrive.corpus import (prep_corpus, read_frames_index, read_manifest,
                               write_corpus, write_manifest)
-from conedrive.data import split_60_20_20
+from conedrive.data import parse_telemetry, scale_records, split_60_20_20
 from conedrive.errors import DataError
 from conedrive.graph import Model
 from conedrive.ppm import read_ppm
-from conedrive.synth import synth_track_dataset
+from conedrive.synth import MIN_FRAMES, synth_track_dataset
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
                            make_realvalue_model)
 
@@ -56,6 +56,21 @@ class TestCorpusFormats:
         assert skipped == []
         assert (len(split.train), len(split.validation), len(split.test)) == \
             (36, 12, 12)
+
+    def test_load_pairs_records_match_the_scaled_log(self, corpus_dir, tmp_path):
+        lines = (corpus_dir / "telemetry.csv").read_text().splitlines()
+        lines[3] = "not,a,row"  # skipped, so later log rows move up one
+        fields = lines[6].split(",")
+        lines[6] = ",".join([fields[0], "120.0", *fields[2:5], "25000.0"])
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text("\n".join(lines) + "\n")
+        records, warnings = scale_records(parse_telemetry(telemetry.read_text())[0])
+        assert warnings == 2  # log row 4 is clamped twice
+        rows = [(4, 4), (0, 0), (58, 58), (4, 7)]
+        pairs = corpus.load_pairs(rows, telemetry, corpus_dir / "frames", 8)
+        assert [p.record for p in pairs] == [records[r] for r, _ in rows]
+        with pytest.raises(DataError, match="log row 59 outside telemetry log"):
+            corpus.load_pairs([(59, 59)], telemetry, corpus_dir / "frames", 8)
 
     def test_manifest_roundtrip(self, corpus_dir, tmp_path):
         pairs = synth_track_dataset(30, image_size=32, seed=1)
@@ -159,6 +174,28 @@ class TestCli:
                      "--out", str(acts_out)])
         assert code == EXIT_OK
         assert (acts_out / "activations.tsv").exists()
+
+    @pytest.mark.parametrize("command,extra", [
+        ("prep", []), ("train", ["--task", "discrete"]),
+        ("eval", ["--checkpoint", "m.ckpt"]), ("gridsearch", []), ("augment", []),
+        ("render", []), ("activations", ["--checkpoint", "m.ckpt"]),
+    ])
+    @pytest.mark.parametrize("n", [str(MIN_FRAMES - 1), "0", "-3"])
+    def test_synth_below_the_minimum_is_a_usage_error(self, tmp_path, capsys,
+                                                      monkeypatch, command, extra, n):
+        monkeypatch.setattr(cli, "synth_track_dataset", None)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--synth", n, *extra, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"at least {MIN_FRAMES} frames, got '{n}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_at_the_minimum_is_accepted(self, tmp_path):
+        out = tmp_path / "p"
+        assert main(["prep", "--synth", str(MIN_FRAMES), "--out", str(out)]) == EXIT_OK
+        with pytest.raises(DataError, match=f"n >= {MIN_FRAMES}"):
+            synth_track_dataset(MIN_FRAMES - 1)
 
     def test_prep_rejects_crop(self, tmp_path):
         # prep reads timestamps only; --crop belongs to the frame-loading commands

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedrive.data import (FramePair, SteeringClass, TelemetryRecord,
-                            build_mixed_set, discretize_steering,
+                            brake_throttle_arrays, build_mixed_set,
+                            classification_arrays, discretize_steering,
                             pair_nearest, pair_nearest_bruteforce, parse_telemetry,
-                            scale_signals, shift_augment, split_60_20_20)
+                            regression_arrays, scale_signals, shift_augment,
+                            split_60_20_20)
 from conedrive.errors import DataError
 
 HEADER = "timestamp,steering,brake,throttle,left_motor_speed,right_motor_speed"
@@ -266,3 +268,20 @@ class TestMixedSet:
     def test_insufficient_items_rejected(self):
         with pytest.raises(DataError, match="mixed set"):
             build_mixed_set(dummy_pairs(1), dummy_pairs(10), 20, seed=0)
+
+
+class TestArrays:
+    @pytest.mark.parametrize("arrays", [classification_arrays, regression_arrays,
+                                        brake_throttle_arrays])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_image_stack_is_one_float32_copy(self, arrays, dtype):
+        pairs = [image_pair(seed=i, size=8, steering=30.0 * i - 40.0)
+                 for i in range(4)]
+        for pair in pairs:
+            pair.image = pair.image.astype(dtype)
+        inputs, _ = arrays(pairs)
+        x = inputs["image"]
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        np.testing.assert_array_equal(
+            x, np.stack([p.image for p in pairs]).astype(np.float32))
+        assert not any(np.shares_memory(x, p.image) for p in pairs)

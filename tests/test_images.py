@@ -1,11 +1,17 @@
 """PPM round trips, crop-and-resize, and the synthetic track generator."""
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conedrive import ppm
 from conedrive.data import discretize_steering
 from conedrive.errors import DataError
-from conedrive.ppm import (bilinear_resize, default_center_crop, load_image,
-                           read_ppm, to_u8, write_ppm)
+from conedrive.ppm import (bilinear_resize_reference, default_center_crop,
+                           load_image, read_ppm, to_u8, write_ppm)
 from conedrive.synth import (brake_for, motor_raw_for, render_track_frame,
                              synth_track_dataset, throttle_for)
 
@@ -49,6 +55,29 @@ class TestNetpbm:
         np.testing.assert_array_equal(to_u8(as_float), pixels)
 
 
+def load_image_reference(pixels, crop, target):
+    """``load_image`` on decoded pixels as the float (H, W, C) path: convert
+    the whole crop, then ``bilinear_resize_reference``."""
+    h, w, _ = pixels.shape
+    x0, y0, cw, ch = default_center_crop(h, w) if crop is None else crop
+    window = pixels[y0 : y0 + ch, x0 : x0 + cw].astype(np.float32) / 255.0
+    resized = bilinear_resize_reference(window, target, target)
+    return np.ascontiguousarray(resized.transpose(2, 0, 1), dtype=np.float32)
+
+
+@st.composite
+def load_cases(draw):
+    """(frame height, width, crop or None, target, pixel seed)."""
+    h = draw(st.integers(1, 80))
+    w = draw(st.integers(1, 80))
+    crop = None
+    if draw(st.booleans()):
+        cw = draw(st.integers(1, w))
+        ch = draw(st.integers(1, h))
+        crop = (draw(st.integers(0, w - cw)), draw(st.integers(0, h - ch)), cw, ch)
+    return h, w, crop, draw(st.integers(1, 96)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestLoadImage:
     def write(self, tmp_path, pixels):
         path = tmp_path / "frame.ppm"
@@ -81,8 +110,39 @@ class TestLoadImage:
             load_image(path, crop=(5, 5, 10, 10))
 
     def test_resize_preserves_constants(self):
-        out = bilinear_resize(np.full((13, 9, 3), 0.4), 5, 17)
+        out = bilinear_resize_reference(np.full((13, 9, 3), 0.4), 5, 17)
         np.testing.assert_allclose(out, 0.4, rtol=1e-6)
+
+    @given(load_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((12, 20, None, 12, 0))  # centre crop already at the target
+    @example((30, 30, (3, 5, 17, 17), 17, 1))  # crop already at the target
+    @example((1, 1, None, 1, 2))
+    @example((1, 1, None, 96, 3))
+    @example((40, 50, (49, 0, 1, 40), 7, 4))  # one-pixel-wide crop
+    @example((50, 40, (0, 49, 40, 1), 9, 5))  # one-pixel-tall crop
+    @example((80, 80, None, 1, 6))
+    def test_matches_reference_twin(self, case):
+        h, w, crop, target, seed = case
+        pixels = np.random.default_rng(seed).integers(0, 256, (h, w, 3),
+                                                      dtype=np.uint8)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "frame.ppm")
+            write_ppm(path, pixels)
+            got = load_image(path, crop=crop, target=target)
+        want = load_image_reference(pixels, crop, target)
+        assert got.dtype == np.float32
+        assert got.shape == (3, target, target)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_resample_plan_is_cached_and_read_only(self):
+        plan = ppm._resample_plan(13, 9, 5, 17)
+        assert ppm._resample_plan(13, 9, 5, 17) is plan
+        for array in plan:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 class TestSynth:
