@@ -14,7 +14,8 @@ Layout (all integers little-endian):
         raw float32 little-endian payload (prod(dims) * 4 bytes)
 
 Parameters and batch-norm running statistics are all stored, so a loaded
-model's eval-mode forward is bit-identical to the saved one.
+model's eval-mode forward is bit-identical to the saved one. A file must
+hold exactly the model's tensors, each once, and nothing after the last.
 """
 from __future__ import annotations
 
@@ -59,7 +60,9 @@ def load_checkpoint(path) -> Model:
     """Rebuild a Model from a checkpoint file.
 
     Raises CheckpointError with distinct messages for bad magic, unsupported
-    versions, and truncated files.
+    versions, truncated files, a tensor stored twice and trailing bytes;
+    GraphError for malformed model text; ShapeError for a tensor set or
+    shape that does not match the model.
     """
     with open(path, "rb") as raw:
         fh = io.BytesIO(raw.read())
@@ -83,7 +86,12 @@ def load_checkpoint(path) -> Model:
         dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"dims of '{name}'"))
         n_bytes = 4 * int(np.prod(dims, dtype=np.int64))
         payload = _read_exact(fh, n_bytes, f"payload of '{name}'")
+        if name in tensors:
+            raise CheckpointError(f"tensor '{name}' is stored twice")
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    trailing = len(fh.read())
+    if trailing:
+        raise CheckpointError(f"{trailing} trailing bytes after the last tensor")
     model = Model(spec, seed=seed)
     model.epoch = epoch
     model.load_state_tensors(tensors)

@@ -1,12 +1,16 @@
 """Layer-graph representation and execution.
 
 A ``ModelSpec`` is a DAG of ``LayerSpec`` nodes over named entry points
-("image" and, for the brake/throttle network, "motor"). Shapes are inferred
-before execution; a ``Model`` instantiates one layer object per node with
-seeded parameters, compiles the graph once into a flat plan, and runs
-plan-order forwards and reverse-order backwards. Nodes feeding several
-consumers receive the sum of the incoming gradients. Everything specific to
-a layer kind lives on its class in ``layers`` (see ``layers.LAYER_KINDS``).
+("image" and, for the brake/throttle network, "motor"). A ``Model`` infers
+every node's shape once, through its kind's ``infer_shape``, which is the
+only check of hyper-parameters and input shapes: a malformed spec raises
+``GraphError`` there, before any layer is built. It then instantiates one
+layer object per node with seeded parameters, compiles the graph into a
+flat plan, and runs plan-order forwards and reverse-order backwards. Nodes
+feeding several consumers receive the sum of the incoming gradients. At
+run time it checks only the arrays it is given and that each node produced
+the shape inference promised. Everything specific to a layer kind lives on
+its class in ``layers`` (see ``layers.LAYER_KINDS``).
 
 Specs serialize to a line-oriented text form used inside checkpoints::
 
@@ -138,6 +142,10 @@ class ModelSpec:
     def infer_shapes(self) -> dict[str, tuple[int, ...]]:
         """Batchless output shape per node; raises on any inconsistency."""
         shapes: dict[str, tuple[int, ...]] = dict(self.inputs)
+        for name, shape in self.inputs:
+            if min(shape, default=0) < 1:
+                raise GraphError(f"input '{name}' has shape {shape}; every "
+                                 "extent must be >= 1")
         for node in self.topo_order():
             ins = [shapes[src] for src in node.inputs]
             shapes[node.name] = node.layer.layer_class.infer_shape(
@@ -240,7 +248,6 @@ class Model:
         self.plan = tuple(plan)
         self.output_node = next(n for n in self.order if n.name == spec.output)
         self.output_kind = self.output_node.layer.kind
-        self._trained_forward = False
 
     def parameters(self) -> list[tuple[str, "L.Param"]]:
         out = []
@@ -302,15 +309,12 @@ class Model:
         for step in self.plan:
             x = ([values[src] for src in step.srcs] if step.multi_input
                  else values[step.srcs[0]])
-            try:
-                if timings is not None:
-                    t0 = perf_counter_ns()
-                    out = step.layer.forward(x, train)
-                    timings[step.name] = perf_counter_ns() - t0
-                else:
-                    out = step.layer.forward(x, train)
-            except ShapeError as exc:
-                raise ShapeError(f"node '{step.name}': {exc}") from exc
+            if timings is not None:
+                t0 = perf_counter_ns()
+                out = step.layer.forward(x, train)
+                timings[step.name] = perf_counter_ns() - t0
+            else:
+                out = step.layer.forward(x, train)
             if tuple(out.shape[1:]) != step.shape:
                 raise ShapeError(
                     f"node '{step.name}' produced shape {out.shape}, "
@@ -319,17 +323,15 @@ class Model:
             values[step.slot] = out
             if capture is not None and step.name in capture:
                 capture[step.name] = out.copy()
-        self._trained_forward = train
-        self._input_names = list(inputs)
         return values[self._slot[self.spec.output]]
 
     def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse-topological gradient pass; returns gradients w.r.t. inputs.
 
-        Parameter gradients accumulate into each layer's ``Param.grad``.
+        Parameter gradients accumulate into each layer's ``Param.grad``. The
+        last forward must have been a training-mode one: each layer refuses
+        a backward without its training cache.
         """
-        if not self._trained_forward:
-            raise GraphError("backward requires a preceding training-mode forward")
         grads: list = [None] * len(self._slot)
         grads[self._slot[self.spec.output]] = grad_out
         for step in reversed(self.plan):
@@ -341,7 +343,7 @@ class Model:
             parts = gi if step.multi_input else [gi]
             for src, part in zip(step.srcs, parts):
                 grads[src] = part if grads[src] is None else grads[src] + part
-        return {name: grads[self._slot[name]] for name in self._input_names}
+        return {name: grads[self._slot[name]] for name, _ in self.spec.inputs}
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
         """(qualified name, tensor) pairs in topological order, for checkpoints."""
@@ -352,19 +354,19 @@ class Model:
         return out
 
     def load_state_tensors(self, tensors: dict[str, np.ndarray]) -> None:
+        """Load ``tensors``, whose names and shapes must be exactly those of
+        ``state_tensors``."""
+        # shapes only, so each layer's old arrays are freed as it loads
+        want = {name: value.shape for name, value in self.state_tensors()}
+        missing, extra = sorted(want.keys() - tensors), sorted(tensors.keys() - want)
+        if missing or extra:
+            raise ShapeError(f"state tensors do not match the model: missing "
+                             f"{missing}, unexpected {extra}")
+        for name, value in tensors.items():
+            if value.shape != want[name]:
+                raise ShapeError(f"tensor '{name}' has shape {value.shape}, "
+                                 f"expected {want[name]}")
         for node in self.order:
-            prefix = f"{node.name}/"
-            local = {
-                name[len(prefix):]: value
-                for name, value in tensors.items()
-                if name.startswith(prefix)
-            }
             layer = self.layers[node.name]
-            want = {name for name, _ in layer.state()}
-            if want - set(local):
-                raise ShapeError(
-                    f"checkpoint missing tensors {sorted(want - set(local))} "
-                    f"for node '{node.name}'"
-                )
-            if local:
-                layer.load_state(local)
+            layer.load_state({name: tensors[f"{node.name}/{name}"]
+                              for name, _ in layer.state()})

@@ -27,7 +27,12 @@ bit-identical to the whole-batch lowering kept as the test-only twins
 weight gradient is the test-only ``conv_weight_grad_reference``.
 
 Each graph layer kind is one class, registered by name in ``LAYER_KINDS``;
-the class alone knows its hyper-parameters, shapes and parameter count.
+the class alone knows its hyper-parameters and shapes. Its ``infer_shape``
+is the one check of both: it runs once, when a ``graph.Model`` compiles its
+spec, and raises ``GraphError`` naming the node and the field for any
+hyper-parameter out of range or input shape the kind cannot take.
+Constructors and ``forward`` do not check again; every layer of a model is
+built from inferred shapes.
 """
 from __future__ import annotations
 
@@ -90,12 +95,22 @@ def _need_rank(node: str, kind: str, shape: tuple[int, ...], ndim: int) -> tuple
     return shape
 
 
-def _window_extent(node: str, kind: str, shape: tuple[int, ...], what: str,
-                   k: int, s: int) -> tuple[int, int, int]:
-    """(channels, out height, out width) of a k x k window sliding at stride s."""
+def _need_at_least(node: str, hyper: dict, field: str, least: int) -> int:
+    value = hyper[field]
+    if value < least:
+        raise GraphError(f"node '{node}': {field} must be >= {least}, got {value}")
+    return value
+
+
+def _window_extent(node: str, kind: str, shape: tuple[int, ...], hyper: dict,
+                   window: str) -> tuple[int, int, int]:
+    """(channels, out height, out width) of the square window named
+    ``window`` in ``hyper``, sliding at ``hyper["stride"]``."""
     c, h, w = _need_rank(node, kind, shape, 3)
+    k = _need_at_least(node, hyper, window, 1)
+    s = _need_at_least(node, hyper, "stride", 1)
     if k > h or k > w:
-        raise GraphError(f"node '{node}': {what} {k}x{k} larger than input {h}x{w}")
+        raise GraphError(f"node '{node}': {window} {k}x{k} larger than input {h}x{w}")
     return c, conv_out_extent(h, k, s), conv_out_extent(w, k, s)
 
 
@@ -117,7 +132,8 @@ class Layer:
     @classmethod
     def infer_shape(cls, node: str, hyper: dict, in_shapes: list[tuple[int, ...]]
                     ) -> tuple[int, ...]:
-        """Batchless output shape for node ``node``; raises GraphError."""
+        """Batchless output shape for node ``node``; raises GraphError for
+        hyper-parameters or input shapes this kind does not take."""
         return in_shapes[0]
 
     @classmethod
@@ -134,14 +150,10 @@ class Layer:
         return [(p.name, p.value) for p in self.params()]
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
+        """Copy in ``state()``'s tensors; ``Model.load_state_tensors`` has
+        checked their names and shapes."""
         for p in self.params():
-            new = tensors[p.name]
-            if new.shape != p.value.shape:
-                raise ShapeError(
-                    f"checkpoint tensor '{p.name}' has shape {new.shape}, "
-                    f"expected {p.value.shape}"
-                )
-            p.value = new.astype(p.value.dtype, copy=True)
+            p.value = tensors[p.name].astype(p.value.dtype, copy=True)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
@@ -171,9 +183,8 @@ class Conv2d(Layer):
 
     @classmethod
     def infer_shape(cls, node, hyper, in_shapes):
-        _, ho, wo = _window_extent(node, cls.kind, in_shapes[0], "kernel",
-                                   hyper["kernel"], hyper["stride"])
-        return (hyper["out_depth"], ho, wo)
+        _, ho, wo = _window_extent(node, cls.kind, in_shapes[0], hyper, "kernel")
+        return (_need_at_least(node, hyper, "out_depth", 1), ho, wo)
 
     @classmethod
     def build(cls, hyper, in_shapes, rng, dtype):
@@ -183,8 +194,6 @@ class Conv2d(Layer):
     def __init__(self, in_depth: int, out_depth: int, kernel: int, stride: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         super().__init__()
-        if kernel < 1 or stride < 1:
-            raise ShapeError(f"conv2d kernel/stride must be positive, got {kernel}/{stride}")
         self.kernel = kernel
         self.stride = stride
         w = _fan_in_uniform(rng, (out_depth, in_depth, kernel, kernel),
@@ -210,19 +219,8 @@ class Conv2d(Layer):
             yield frames, buf
 
     def forward(self, x, train):
-        if x.ndim != 4:
-            raise ShapeError(f"conv2d expects a 4-D input, got shape {x.shape}")
-        od, ind, k, _ = self.weight.value.shape
-        n, c, h, w = x.shape
-        if c != ind:
-            raise ShapeError(
-                f"conv2d input channels mismatch: input shape {x.shape} "
-                f"vs kernel shape {self.weight.value.shape}"
-            )
-        if k > h or k > w:
-            raise ShapeError(
-                f"conv2d kernel {k}x{k} larger than input spatial extent {h}x{w}"
-            )
+        od, _, k, _ = self.weight.value.shape
+        n, _, h, w = x.shape
         ho = conv_out_extent(h, k, self.stride)
         wo = conv_out_extent(w, k, self.stride)
         wmat = self.weight.value.reshape(od, -1)
@@ -323,25 +321,16 @@ class MaxPool2d(Layer):
 
     @classmethod
     def infer_shape(cls, node, hyper, in_shapes):
-        return _window_extent(node, cls.kind, in_shapes[0], "pool window",
-                              hyper["window"], hyper["stride"])
+        return _window_extent(node, cls.kind, in_shapes[0], hyper, "window")
 
     def __init__(self, window: int, stride: int):
         super().__init__()
-        if window < 1 or stride < 1:
-            raise ShapeError(f"maxpool window/stride must be positive, got {window}/{stride}")
         self.window = window
         self.stride = stride
 
     def forward(self, x, train):
-        if x.ndim != 4:
-            raise ShapeError(f"maxpool expects a 4-D input, got shape {x.shape}")
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         k, s = self.window, self.stride
-        if k > h or k > w:
-            raise ShapeError(
-                f"maxpool window {k}x{k} larger than input spatial extent {h}x{w}"
-            )
         first, *rest = _pool_offsets(k, s, conv_out_extent(h, k, s),
                                      conv_out_extent(w, k, s))
         out = x[first].copy()
@@ -438,14 +427,6 @@ class BatchNorm2d(Layer):
         self.running_var = tensors["running_var"].astype(self.running_var.dtype, copy=True)
 
     def forward(self, x, train):
-        if x.ndim != 4:
-            raise ShapeError(f"batchnorm expects a 4-D input, got shape {x.shape}")
-        c = x.shape[1]
-        if c != self.gamma.value.shape[0]:
-            raise ShapeError(
-                f"batchnorm channel mismatch: input shape {x.shape} vs "
-                f"{self.gamma.value.shape[0]} tracked channels"
-            )
         if train:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
@@ -479,20 +460,15 @@ class Linear(Layer):
     kind = "linear"
     HYPER = (("out_features", int),)
 
-    @staticmethod
-    def _width(hyper) -> int:
-        """The output width: out_features, or classes for the softmax head."""
-        (width,) = hyper.values()
-        return width
-
     @classmethod
     def infer_shape(cls, node, hyper, in_shapes):
         _need_rank(node, cls.kind, in_shapes[0], 1)
-        return (cls._width(hyper),)
+        return (_need_at_least(node, hyper, "out_features", 1),)
 
     @classmethod
     def build(cls, hyper, in_shapes, rng, dtype):
-        return cls(in_shapes[0][0], cls._width(hyper), rng, dtype)
+        # the one hyper-parameter is the output width
+        return cls(in_shapes[0][0], *hyper.values(), rng, dtype)
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -505,13 +481,6 @@ class Linear(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, train):
-        if x.ndim != 2:
-            raise ShapeError(f"linear expects a 2-D input, got shape {x.shape}")
-        if x.shape[1] != self.weight.value.shape[1]:
-            raise ShapeError(
-                f"linear feature mismatch: input shape {x.shape} vs "
-                f"weight shape {self.weight.value.shape}"
-            )
         out = x @ self.weight.value.T + self.bias.value
         self._cache = x if train else None
         return out
@@ -533,12 +502,10 @@ class SoftmaxHead(Linear):
     kind = "softmax_head"
     HYPER = (("classes", int),)
 
-    def __init__(self, in_features: int, classes: int,
-                 rng: np.random.Generator, dtype=DEFAULT_DTYPE):
-        if classes < 2:
-            raise ShapeError(f"softmax head needs >= 2 classes, got {classes}")
-        super().__init__(in_features, classes, rng, dtype)
-        self.classes = classes
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        _need_rank(node, cls.kind, in_shapes[0], 1)
+        return (_need_at_least(node, hyper, "classes", 2),)
 
 
 class ReLU(Layer):
@@ -577,10 +544,15 @@ class ClampScale(Layer):
     kind = "clamp_scale"
     HYPER = (("lo", float), ("hi", float))
 
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        if not hyper["lo"] < hyper["hi"]:
+            raise GraphError(f"node '{node}': lo must be < hi, got "
+                             f"lo={hyper['lo']} hi={hyper['hi']}")
+        return in_shapes[0]
+
     def __init__(self, lo: float, hi: float):
         super().__init__()
-        if not lo < hi:
-            raise ShapeError(f"clamp bounds must satisfy lo < hi, got [{lo}, {hi}]")
         self.lo = float(lo)
         self.hi = float(hi)
 
@@ -599,10 +571,15 @@ class ScaledSigmoid(Layer):
     kind = "scaled_sigmoid"
     HYPER = (("scale", float),)
 
+    @classmethod
+    def infer_shape(cls, node, hyper, in_shapes):
+        if not (math.isfinite(hyper["scale"]) and hyper["scale"] > 0):
+            raise GraphError(f"node '{node}': scale must be finite and > 0, "
+                             f"got {hyper['scale']}")
+        return in_shapes[0]
+
     def __init__(self, scale: float):
         super().__init__()
-        if scale <= 0:
-            raise ShapeError(f"sigmoid scale must be > 0, got {scale}")
         self.scale = float(scale)
 
     def forward(self, x, train):
@@ -631,11 +608,6 @@ class Concat(Layer):
         return (sum(shape[0] for shape in in_shapes),)
 
     def forward(self, xs, train):
-        if len(xs) < 2:
-            raise ShapeError(f"concat needs at least two inputs, got {len(xs)}")
-        for x in xs:
-            if x.ndim != 2:
-                raise ShapeError(f"concat expects 2-D inputs, got shape {x.shape}")
         self._cache = [x.shape[1] for x in xs] if train else None
         return np.concatenate(xs, axis=1)
 

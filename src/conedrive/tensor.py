@@ -25,10 +25,6 @@ class Param:
         self.value = value
         self.grad: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.value)
 

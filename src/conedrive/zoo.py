@@ -13,6 +13,7 @@ from __future__ import annotations
 from .data import PEDAL_RANGE, STEERING_RANGE
 from .errors import GraphError
 from .graph import ModelSpec, NodeSpec, spec
+from .layers import conv_out_extent
 
 POOL = 2
 IMAGE_CHANNELS = 3
@@ -71,14 +72,14 @@ def _backbone(name: str, n_conv: int, input_hw: int,
         k = min(k, hw)
         nodes.append(NodeSpec(f"conv{i}", spec("conv", out_depth=d, kernel=k, stride=s),
                               (src,)))
-        hw = (hw - k) // s + 1
+        hw = conv_out_extent(hw, k, s)
         nodes.append(NodeSpec(f"bn{i}", spec("batchnorm"), (f"conv{i}",)))
         nodes.append(NodeSpec(f"relu{i}", spec("relu"), (f"bn{i}",)))
         src = f"relu{i}"
         if hw >= POOL:
             nodes.append(NodeSpec(f"pool{i}", spec("maxpool", window=POOL, stride=POOL),
                                   (src,)))
-            hw = (hw - POOL) // POOL + 1
+            hw = conv_out_extent(hw, POOL, POOL)
             src = f"pool{i}"
     nodes.append(NodeSpec("flat", spec("flatten"), (src,)))
     return nodes

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conedrive.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from conedrive.errors import CheckpointError
+from conedrive.errors import CheckpointError, ShapeError
 from conedrive.graph import Model
 from conedrive.train import TrainConfig, lr_at_epoch
 from conedrive.zoo import make_brake_throttle_model, make_discrete_model
@@ -109,6 +109,51 @@ def test_distinct_diagnostics_are_distinct(tmp_path, trained_ish_model):
             load_checkpoint(p)
         cases[name] = str(err.value)
     assert len(set(cases.values())) == 3
+
+
+def save_with_tensors(model, path, tensors) -> None:
+    """Save ``model`` with ``tensors`` in place of its state tensors."""
+    model.state_tensors = lambda: tensors
+    save_checkpoint(model, path)
+
+
+def test_trailing_bytes_rejected(tmp_path, trained_ish_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained_ish_model, path)
+    path.write_bytes(path.read_bytes() + b"\0\0\0")
+    with pytest.raises(CheckpointError, match="3 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_tensor_stored_twice_rejected(tmp_path, trained_ish_model):
+    path = tmp_path / "model.ckpt"
+    state = trained_ish_model.state_tensors()
+    save_with_tensors(trained_ish_model, path, state + state[-1:])
+    with pytest.raises(CheckpointError, match="'head/bias' is stored twice"):
+        load_checkpoint(path)
+
+
+def test_tensor_set_must_match_the_model(tmp_path, trained_ish_model):
+    path = tmp_path / "model.ckpt"
+    state = trained_ish_model.state_tensors()
+    ghost = ("ghost/weight", np.zeros(2, dtype=np.float32))
+    save_with_tensors(trained_ish_model, path, state[1:] + [ghost])
+    with pytest.raises(ShapeError,
+                       match=r"missing \['conv1/weight'\], unexpected \['ghost/weight'\]"):
+        load_checkpoint(path)
+    save_with_tensors(trained_ish_model, path, state + [ghost])
+    with pytest.raises(ShapeError, match=r"missing \[\], unexpected \['ghost/weight'\]"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["bn1/running_mean", "conv1/weight"])
+def test_tensor_shape_must_match_the_model(tmp_path, trained_ish_model, name):
+    path = tmp_path / "model.ckpt"
+    state = [(n, np.ones(1, dtype=np.float32) if n == name else v)
+             for n, v in trained_ish_model.state_tensors()]
+    save_with_tensors(trained_ish_model, path, state)
+    with pytest.raises(ShapeError, match=rf"'{name}' has shape \(1,\)"):
+        load_checkpoint(path)
 
 
 def test_magic_constant():

@@ -1,6 +1,8 @@
 """On-disk corpus formats and the CLI workflows end to end."""
 import argparse
+import struct
 
+import numpy as np
 import pytest
 
 from conedrive import cli, corpus
@@ -17,6 +19,16 @@ from conedrive.ppm import read_ppm
 from conedrive.synth import MIN_FRAMES, synth_track_dataset
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
                            make_realvalue_model)
+
+
+# edits of a 1CL-1FC checkpoint's model text that make it malformed
+SPEC_EDITS = {
+    "stride-0": ("stride=2", "stride=0"),
+    "out-depth-0": ("out_depth=8", "out_depth=0"),
+    "out-depth-negative": ("out_depth=8", "out_depth=-2"),
+    "zero-extent": ("3x16x16", "3x0x16"),
+    "one-class": ("classes=3", "classes=1"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +328,31 @@ class TestCli:
         code = main(["eval", "--checkpoint", str(bad), "--synth", "40",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("case", ["intact", *SPEC_EDITS, "trailing-bytes",
+                                      "tensor-twice", "extra-tensor"])
+    def test_malformed_checkpoint_exits_bad_input(self, tmp_path, case):
+        model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
+        state = model.state_tensors()
+        ghost = ("ghost/weight", np.zeros(2, dtype=np.float32))
+        extra = {"tensor-twice": state[-1:], "extra-tensor": [ghost]}.get(case, [])
+        model.state_tensors = lambda: state + extra
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(model, ckpt)
+        blob = ckpt.read_bytes()
+        if case == "trailing-bytes":
+            blob += b"\0"
+        elif case in SPEC_EDITS:
+            # the spec text follows the magic, 16 header bytes and its u32 length
+            (n,) = struct.unpack_from("<I", blob, 20)
+            old, new = (part.encode() for part in SPEC_EDITS[case])
+            assert old in blob[24:24 + n]
+            text = blob[24:24 + n].replace(old, new)
+            blob = blob[:20] + struct.pack("<I", len(text)) + text + blob[24 + n:]
+        ckpt.write_bytes(blob)
+        code = main(["eval", "--checkpoint", str(ckpt), "--synth", "40",
+                     "--batch-size", "4", "--out", str(tmp_path / "o")])
+        assert code == (EXIT_OK if case == "intact" else EXIT_BAD_INPUT)
 
     def test_identical_args_reproduce_manifest_bytes(self, tmp_path):
         outs = []

@@ -5,7 +5,7 @@ import pytest
 from conedrive.errors import GraphError, ShapeError
 from conedrive.gradcheck import grad_check_model
 from conedrive.graph import LayerSpec, Model, ModelSpec, NodeSpec, spec
-from conedrive.layers import smooth_l1, softmax_cross_entropy
+from conedrive.layers import LAYER_KINDS, smooth_l1, softmax_cross_entropy
 from conedrive.zoo import (DISCRETE_NAMES, REALVALUE_NAMES, expand_double_compressed,
                            make_brake_throttle_model, make_discrete_model,
                            make_realvalue_model, zoo_specs)
@@ -100,6 +100,56 @@ class TestShapeInference:
         assert model_spec.infer_shapes()["flat"] == (31752,)
         model = Model(model_spec, seed=0)
         assert sum(p.value.size for _, p in model.parameters()) == 95883
+
+
+# per layer kind (every kind must be listed): a valid value of each
+# hyper-parameter, then the out-of-range (field, value) pairs its infer_shape
+# must refuse
+HYPER_CASES = {
+    "conv": ({"out_depth": 2, "kernel": 3, "stride": 1},
+             [("out_depth", 0), ("out_depth", -2), ("kernel", 0), ("kernel", -1),
+              ("stride", 0), ("stride", -1)]),
+    "maxpool": ({"window": 2, "stride": 2},
+                [("window", 0), ("window", -2), ("stride", 0), ("stride", -1)]),
+    "linear": ({"out_features": 3}, [("out_features", 0), ("out_features", -1)]),
+    "softmax_head": ({"classes": 3}, [("classes", 1), ("classes", 0)]),
+    "clamp_scale": ({"lo": -1.0, "hi": 1.0},
+                    [("lo", 1.0), ("lo", 2.0), ("hi", -1.0), ("lo", float("nan")),
+                     ("hi", float("nan"))]),
+    "scaled_sigmoid": ({"scale": 2.0},
+                       [("scale", 0.0), ("scale", -1.0), ("scale", float("nan")),
+                        ("scale", float("inf"))]),
+    "batchnorm": ({}, []),
+    "relu": ({}, []),
+    "flatten": ({}, []),
+    "concat": ({}, []),
+}
+
+
+def probe_text(kind: str, hyper: dict) -> str:
+    """Model text whose output node "probe" is one ``kind`` layer."""
+    src = {"linear": "flat", "softmax_head": "flat", "concat": "flat,motor"}.get(kind, "image")
+    fields = "".join(f" {key}={value}" for key, value in hyper.items())
+    return ("conedrive-model v1\ninput image 2x6x6\ninput motor 2\n"
+            "node flat flatten in=image\n"
+            f"node probe {kind} in={src}{fields}\noutput probe\n")
+
+
+class TestHyperValidation:
+    @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+    def test_out_of_range_hyper_names_node_and_field(self, kind):
+        valid, bad = HYPER_CASES[kind]
+        Model(ModelSpec.from_text(probe_text(kind, valid)), seed=0)
+        for field, value in bad:
+            text = probe_text(kind, {**valid, field: value})
+            with pytest.raises(GraphError, match=rf"node 'probe'.*\b{field}\b"):
+                Model(ModelSpec.from_text(text), seed=0)
+
+    @pytest.mark.parametrize("dims", ["3x0x16", "0x4x4", "3x-1x4", "0"])
+    def test_input_extent_below_one_rejected(self, dims):
+        text = f"conedrive-model v1\ninput image {dims}\nnode out relu in=image\noutput out\n"
+        with pytest.raises(GraphError, match="input 'image'.*>= 1"):
+            Model(ModelSpec.from_text(text), seed=0)
 
 
 class TestZooBuilders:
