@@ -39,7 +39,6 @@ class LatencyReport:
     end_to_end_p90_ns: float
     warmup: int
     iters: int
-    discarded: int
     hardware: str
     per_kind_mean_ns: dict[str, float]
 
@@ -50,7 +49,7 @@ class LatencyReport:
     def to_text(self) -> str:
         lines = [
             f"hardware: {self.hardware}",
-            f"warmup: {self.warmup}  iters: {self.iters}  discarded: {self.discarded}",
+            f"warmup: {self.warmup}  iters: {self.iters}",
             f"end_to_end_mean_ms: {self.end_to_end_mean_ns / 1e6:.4f}",
             f"end_to_end_std_ms: {self.end_to_end_std_ns / 1e6:.4f}",
             f"end_to_end_p10_ms: {self.end_to_end_p10_ns / 1e6:.4f}",
@@ -92,11 +91,7 @@ def hardware_description() -> str:
 def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,
                   seed: int = 0) -> LatencyReport:
     """Measure single-frame eval-mode forward latency; returns per-node and
-    end-to-end stats.
-
-    Iterations whose clock readings come out non-monotonic (elapsed < 0) are
-    discarded and counted.
-    """
+    end-to-end stats."""
     if iters < 100:
         raise ValueError(f"iters must be >= 100, got {iters}")
     rng = np.random.default_rng(seed)
@@ -112,16 +107,11 @@ def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,
 
     per_node = {name: [] for name in node_names}
     totals = []
-    discarded = 0
     for _ in range(iters):
         timings: dict[str, int] = {}
         t0 = perf_counter_ns()
         model.forward(inputs, mode="eval", timings=timings)
-        elapsed = perf_counter_ns() - t0
-        if elapsed < 0 or any(v < 0 for v in timings.values()):
-            discarded += 1
-            continue
-        totals.append(elapsed)
+        totals.append(perf_counter_ns() - t0)
         for name in node_names:
             per_node[name].append(timings[name])
 
@@ -142,7 +132,6 @@ def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,
         end_to_end_p90_ns=float(np.percentile(totals, 90)),
         warmup=warmup,
         iters=iters,
-        discarded=discarded,
         hardware=hardware_description(),
         per_kind_mean_ns={k: float(np.mean(v)) for k, v in per_kind.items()},
     )

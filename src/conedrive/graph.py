@@ -187,11 +187,16 @@ class ModelSpec:
                     inputs.append((name, tuple(int(d) for d in dims.split("x"))))
                 elif tag == "node":
                     name, kind = tokens[1], tokens[2]
-                    kv = dict(tok.split("=", 1) for tok in tokens[3:])
+                    fields = [tok.split("=", 1) for tok in tokens[3:]]
+                    kv = dict(fields)
+                    if len(kv) < len(fields):
+                        raise ValueError("a field is given twice")
                     srcs = tuple(kv.pop("in").split(","))
                     # LayerSpec coerces the value strings to their declared types
                     nodes.append(NodeSpec(name, LayerSpec(kind, tuple(kv.items())), srcs))
                 elif tag == "output":
+                    if output is not None:
+                        raise ValueError("a second output line")
                     output = tokens[1]
                 else:
                     raise GraphError(f"unknown directive '{tag}'")

@@ -16,15 +16,16 @@ the property tests pin it to; nothing else calls them.
 
 Convolution lowers its batch with im2col in chunks of as many frames as fit
 in ``CONV_CHUNK_BYTES`` of columns (at least one), one matmul per chunk, so
-the columns stay in cache. The training cache holds the input, and the
-columns only when the batch is one chunk; otherwise backward rebuilds them
-chunk by chunk (compute traded for memory). Backward writes each frame's
-weight-gradient product into one (batch, out depth, C*k*k) buffer, summed
-over the batch at the end, and the input gradient chunk by chunk through
-``col2im``. Each frame is its own product throughout, so every result is
-bit-identical to the whole-batch lowering kept as the test-only twins
-``conv_forward_reference``/``conv_backward_reference``; the ``tensordot``
-weight gradient is the test-only ``conv_weight_grad_reference``.
+the columns stay in cache. The training cache holds only the input:
+backward rebuilds the columns chunk by chunk (compute traded for memory)
+and overwrites each chunk's columns with their gradient. It writes each
+frame's weight-gradient product into one (batch, out depth, C*k*k) buffer,
+summed over the batch at the end, and each chunk's ``col2im`` result into
+one input-gradient array. Each frame is its own product throughout, so
+every result is bit-identical to the whole-batch lowering kept as the
+test-only twins ``conv_forward_reference``/``conv_backward_reference``;
+the ``tensordot`` weight gradient is the test-only
+``conv_weight_grad_reference``.
 
 Each graph layer kind is one class, registered by name in ``LAYER_KINDS``;
 the class alone knows its hyper-parameters and shapes. Its ``infer_shape``
@@ -47,10 +48,10 @@ from .tensor import DEFAULT_DTYPE, Param
 # Bytes of im2col columns a convolution builds at a time: a batch is lowered
 # in chunks of as many frames as fit, so the columns stay in cache. 2 MiB is
 # the smallest power of two that holds the columns of a batch-64 3CL-2FC
-# conv2 at 64x64 (1.8 MB), which training therefore keeps. Swept at 0.5-8 MiB
-# on a 2-CPU Xeon (2 MiB L2 per core, 1 BLAS thread), that net's three convs
-# took 41-45 ms per train step at 1-4 MiB, against 49 and 55 ms at 0.5 and
-# 8 MiB.
+# conv2 at 64x64 (1.8 MB) in one chunk. Swept at 0.5-8 MiB on a 2-CPU Xeon
+# (2 MiB L2 per core, 1 BLAS thread), while a one-chunk batch still kept its
+# columns for backward, that net's three convs took 41-45 ms per train step
+# at 1-4 MiB, against 49 and 55 ms at 0.5 and 8 MiB.
 CONV_CHUNK_BYTES = 2 << 20
 
 
@@ -227,24 +228,23 @@ class Conv2d(Layer):
         out = np.empty((n, od, ho * wo), dtype=np.result_type(wmat, x))
         for frames, cols in self._column_chunks(x):
             np.matmul(wmat, cols, out=out[frames])
-        out = out.reshape(n, od, ho, wo) + self.bias.value[:, None, None]
-        # the columns of a one-chunk batch are kept; backward rebuilds others
-        self._cache = (x, cols if len(cols) == n else None) if train else None
+        out = out.reshape(n, od, ho, wo)
+        out += self.bias.value[:, None, None]
+        self._cache = x if train else None
         return out
 
     def backward(self, grad_out):
-        x, cached = self._need_cache()
+        x = self._need_cache()
         n, od, ho, wo = grad_out.shape
         g = grad_out.reshape(n, od, ho * wo)
         wmat = self.weight.value.reshape(od, -1)
         # each frame's dW product lands in ``dw``; the batch sum comes last
         dw = np.empty((n,) + wmat.shape, dtype=np.result_type(g, x))
-        chunks = self._column_chunks(x) if cached is None else [(slice(None), cached)]
+        dx = np.empty(x.shape, dtype=np.result_type(wmat, g))
         # rebuilt columns are spent once dW has read them, so the chunk's
         # column gradient overwrites them in the same cache-sized buffer
-        reuse = cached is None and np.result_type(wmat, g) == x.dtype
-        dx = []
-        for frames, cols in chunks:
+        reuse = dx.dtype == x.dtype
+        for frames, cols in self._column_chunks(x):
             gf = g[frames]
             if ho * wo == 1:
                 # one output position: each frame's product is an outer
@@ -253,11 +253,10 @@ class Conv2d(Layer):
             else:
                 np.matmul(gf, cols.transpose(0, 2, 1), out=dw[frames])
             dcols = np.matmul(wmat.T, gf, out=cols if reuse else None)
-            dx.append(col2im(dcols, (len(gf),) + x.shape[1:], self.kernel, self.stride))
+            dx[frames] = col2im(dcols, (len(gf),) + x.shape[1:], self.kernel, self.stride)
         self.weight.add_grad(dw.sum(axis=0).reshape(self.weight.value.shape))
         self.bias.add_grad(grad_out.sum(axis=(0, 2, 3)))
-        # a one-chunk batch's input gradient is col2im's own array, not a copy
-        return dx[0] if len(dx) == 1 else np.concatenate(dx)
+        return dx
 
 
 def conv_forward_reference(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,

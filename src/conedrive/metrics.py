@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BRAKE_THROTTLE_CHANNELS
-from .errors import DataError, GraphError
+from .errors import GraphError
 from .graph import Model
 
 N_CLASSES = 3
@@ -102,13 +102,21 @@ def predict(model: Model, inputs: dict[str, np.ndarray], batch_size: int,
     return np.concatenate(outs)
 
 
+def count_full_batches(frames: int, batch_size: int, split: str) -> int:
+    """Full batches of ``batch_size`` in ``split``, a split of ``frames``.
+
+    A split with none raises a plain ValueError: no input is malformed, the
+    batch size does not fit the data, so the CLI reports a usage error.
+    """
+    if frames < batch_size:
+        raise ValueError(f"{split} of {frames} frames yields no full batch "
+                         f"of {batch_size}")
+    return frames // batch_size
+
+
 def _full_batches(inputs, targets, batch_size: int):
     """``inputs`` and ``targets`` cut to the split's full batches."""
-    frames = targets.shape[0] // batch_size * batch_size
-    if frames == 0:
-        raise DataError(
-            f"split of {targets.shape[0]} frames yields no full batch of {batch_size}"
-        )
+    frames = count_full_batches(targets.shape[0], batch_size, "split") * batch_size
     return {name: arr[:frames] for name, arr in inputs.items()}, targets[:frames]
 
 

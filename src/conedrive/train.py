@@ -16,10 +16,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DivergenceError, GraphError
+from .errors import DivergenceError
 from .graph import Model
 from .layers import smooth_l1, softmax_cross_entropy
-from .metrics import eval_classification, eval_regression
+from .metrics import count_full_batches, eval_classification, eval_regression
 from .zoo import conv_count, expand_double_compressed, make_realvalue_model
 
 LOSS_KINDS = ("cross_entropy", "smooth_l1")
@@ -104,16 +104,10 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
     train_inputs, train_targets = train_data
     val_inputs, val_targets = val_data
     n = train_targets.shape[0]
-    if n == 0 or val_targets.shape[0] == 0:
-        raise GraphError("train/validation splits must be non-empty")
     loss_fn = _loss_fn(config.loss)
-    result = TrainResult(steps_per_epoch=n // config.batch_size)
-    for split, frames in (("training", n), ("validation", val_targets.shape[0])):
-        if frames < config.batch_size:
-            raise GraphError(
-                f"{split} split of {frames} frames yields no full batch of "
-                f"{config.batch_size}"
-            )
+    result = TrainResult(
+        steps_per_epoch=count_full_batches(n, config.batch_size, "training split"))
+    count_full_batches(val_targets.shape[0], config.batch_size, "validation split")
     for epoch in range(model.epoch, model.epoch + config.epochs):
         lr = lr_at_epoch(config, epoch)
         t0 = time.perf_counter()

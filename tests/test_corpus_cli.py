@@ -28,6 +28,8 @@ SPEC_EDITS = {
     "out-depth-negative": ("out_depth=8", "out_depth=-2"),
     "zero-extent": ("3x16x16", "3x0x16"),
     "one-class": ("classes=3", "classes=1"),
+    "repeated-field": ("stride=2", "stride=1 stride=2"),
+    "second-output": ("output head", "output pool1\noutput head"),
 }
 
 
@@ -453,6 +455,18 @@ class TestCli:
                      "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path / "t")])
         assert code == EXIT_USAGE
         assert not (tmp_path / "t" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "activations"])
+    def test_batch_larger_than_the_split_is_a_usage_error(self, tmp_path, capsys,
+                                                          command):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
+        extra = (["--task", "real", "--image-size", "16"] if command == "train"
+                 else ["--checkpoint", str(ckpt)])
+        code = main([command, "--synth", "40", "--batch-size", "64", *extra,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "yields no full batch of 64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--manifest", "--telemetry", "--frames"])
     def test_drive_flag_with_synth_is_a_usage_error(self, tmp_path, capsys, flag):

@@ -4,7 +4,7 @@ import pytest
 
 from conedrive.errors import GraphError, ShapeError
 from conedrive.gradcheck import grad_check_model
-from conedrive.graph import LayerSpec, Model, ModelSpec, NodeSpec, spec
+from conedrive.graph import TEXT_HEADER, LayerSpec, Model, ModelSpec, NodeSpec, spec
 from conedrive.layers import LAYER_KINDS, smooth_l1, softmax_cross_entropy
 from conedrive.zoo import (DISCRETE_NAMES, REALVALUE_NAMES, expand_double_compressed,
                            make_brake_throttle_model, make_discrete_model,
@@ -79,6 +79,17 @@ class TestModelSpecValidation:
     def test_bad_header_rejected(self):
         with pytest.raises(GraphError, match="must start with"):
             ModelSpec.from_text("something else\n")
+
+    @pytest.mark.parametrize("line", [
+        "node b relu in=a in=image",
+        "node c conv in=image out_depth=2 kernel=3 stride=1 stride=2",
+        "output a",
+    ], ids=["in-twice", "stride-twice", "second-output"])
+    def test_repeated_field_or_output_rejected(self, line):
+        text = (f"{TEXT_HEADER}\ninput image 1x4x4\nnode a relu in=image\n"
+                f"output a\n{line}\n")
+        with pytest.raises(GraphError, match=f"line 5: '{line}'"):
+            ModelSpec.from_text(text)
 
 
 class TestShapeInference:

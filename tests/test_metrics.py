@@ -4,7 +4,7 @@ import pytest
 
 from conedrive.data import (brake_throttle_arrays, classification_arrays,
                             discretize_steering, regression_arrays)
-from conedrive.errors import DataError, GraphError
+from conedrive.errors import GraphError
 from conedrive.graph import Model
 from conedrive.metrics import (ConfusionMatrix, default_activation_layer,
                                eval_classification, eval_regression,
@@ -79,8 +79,11 @@ class TestEvalClassification:
         model = rigged_classifier()
         pairs = synth_track_dataset(10, image_size=16, seed=3)
         inputs, targets = classification_arrays(pairs)
-        with pytest.raises(DataError, match="no full batch"):
+        with pytest.raises(ValueError, match="split of 10 frames yields no full "
+                                             "batch of 64") as caught:
             eval_classification(model, inputs, targets, batch_size=64)
+        # a usage error (exit 2), not malformed input (DataError, exit 4)
+        assert type(caught.value) is ValueError
 
     def test_wrong_head_rejected(self):
         model = rigged_regressor()

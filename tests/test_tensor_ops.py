@@ -202,8 +202,8 @@ class TestConv2d:
             out = conv.forward(x, train=True)
             dx = conv.backward(grad)
         chunks = [min(step, n - a) for a in range(0, n, step)]
-        # backward rebuilds the columns only of a batch that spans chunks
-        assert lowered == chunks * (2 if len(chunks) == 1 else 3)
+        # eval forward, training forward, and backward each lower every chunk
+        assert lowered == chunks * 3
         want = conv_forward_reference(x, conv.weight.value, conv.bias.value, s)
         assert_same(evaluated, want)
         assert_same(out, want)

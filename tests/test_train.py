@@ -5,7 +5,7 @@ import pytest
 from conedrive import layers
 from conedrive.checkpoint import load_checkpoint, save_checkpoint
 from conedrive.data import classification_arrays, regression_arrays
-from conedrive.errors import DivergenceError, GraphError
+from conedrive.errors import DivergenceError
 from conedrive.graph import Model
 from conedrive.synth import synth_track_dataset
 from conedrive.train import (GridResult, TrainConfig, grid_search, lr_at_epoch,
@@ -193,17 +193,20 @@ class TestTrainLoop:
         model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
         empty = ({"image": np.zeros((0, 3, 16, 16), np.float32)},
                  np.zeros(0, np.int64))
-        with pytest.raises(GraphError, match="non-empty"):
+        with pytest.raises(ValueError, match="training split of 0 frames yields no "
+                                             "full batch of 5") as caught:
             train(model, empty, val_data, self.config())
+        assert type(caught.value) is ValueError
 
     def test_short_validation_split_rejected_before_any_step(self):
         train_data, val_data = small_sets()
         model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
         before = [(name, value.copy()) for name, value in model.state_tensors()]
         short_val = ({"image": val_data[0]["image"][:8]}, val_data[1][:8])
-        with pytest.raises(GraphError, match="validation split of 8 frames "
-                                             "yields no full batch of 16"):
+        with pytest.raises(ValueError, match="validation split of 8 frames "
+                                             "yields no full batch of 16") as caught:
             train(model, train_data, short_val, self.config(batch_size=16))
+        assert type(caught.value) is ValueError
         assert model.epoch == 0
         for (name, old), (_, new) in zip(before, model.state_tensors()):
             np.testing.assert_array_equal(new, old, err_msg=name)
