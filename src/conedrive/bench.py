@@ -3,8 +3,10 @@
 Each iteration times every graph node and the whole forward pass with the
 monotonic clock; warmup iterations are excluded. Every input is a batch of
 one frame, the controller's serving shape, built once before the loop, so
-timing never includes input preparation. The measurement loop is strictly
-single-threaded; run it on an otherwise idle machine. Per-layer-kind
+timing never includes input preparation. A batch-1 forward is one chunk of
+every convolution, so it runs on the calling thread alone (see
+``layers.CONV_WORKERS``) and the loop stays single-threaded; run it on an
+otherwise idle machine. Per-layer-kind
 aggregation reports the mean added latency per conv layer, per FC layer,
 and so on.
 """
@@ -18,6 +20,7 @@ from time import perf_counter_ns
 
 import numpy as np
 
+from . import layers as L
 from .graph import Model
 
 
@@ -79,13 +82,14 @@ def _blas() -> str:
 
 
 def hardware_description() -> str:
-    """Machine, interpreter, numpy, BLAS, the BLAS thread variables and the
-    CPU count."""
+    """Machine, interpreter, numpy, BLAS, the BLAS thread variables, the
+    CPU count and the convolution worker count."""
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     return (f"{platform.machine()} {platform.processor() or 'cpu'}; "
             f"python {sys.version.split()[0]}; numpy {np.__version__}; "
-            f"blas {_blas()}; {threads}; cpus={os.cpu_count()}")
+            f"blas {_blas()}; {threads}; cpus={os.cpu_count()}; "
+            f"conv_workers={L.CONV_WORKERS}")
 
 
 def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,

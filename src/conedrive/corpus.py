@@ -61,12 +61,16 @@ def read_frames_index(frames_dir):
         header = fh.readline().strip()
         if header != "frame_index\ttimestamp_ms":
             raise DataError(f"bad frames index header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            idx, ts = line.split("\t")
-            indexes.append(int(idx))
-            stamps.append(float(ts))
+            try:
+                idx, ts = line.split("\t")
+                indexes.append(int(idx))
+                stamps.append(float(ts))
+            except ValueError:
+                raise DataError(f"{path} line {lineno}: malformed frames index row "
+                                f"{line.rstrip()!r}") from None
     if not indexes:
         raise DataError("frames index lists no frames")
     order = np.argsort(stamps, kind="stable")
@@ -96,22 +100,27 @@ def read_manifest(path):
     seed = dropped = None
     membership = {"train": [], "val": [], "test": []}
     in_table = False
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        if line.startswith("seed "):
-            seed = int(line.split()[1])
-        elif line.startswith("dropped "):
-            dropped = int(line.split()[1])
-        elif line.startswith("counts ") or line.startswith("split\t"):
-            in_table = line.startswith("split\t")
-        elif in_table:
-            name, log_row, frame_index = line.split("\t")
-            if name not in membership:
-                raise DataError(f"manifest has unknown split {name!r}")
-            membership[name].append((int(log_row), int(frame_index)))
-        else:
-            raise DataError(f"malformed manifest line: {line!r}")
+        try:
+            if line.startswith("seed "):
+                (seed,) = map(int, line.split()[1:])
+            elif line.startswith("dropped "):
+                (dropped,) = map(int, line.split()[1:])
+            elif line.startswith("counts ") or line.startswith("split\t"):
+                in_table = line.startswith("split\t")
+            elif in_table:
+                name, log_row, frame_index = line.split("\t")
+                membership[name].append((int(log_row), int(frame_index)))
+            else:
+                raise ValueError
+        except KeyError:
+            raise DataError(f"{path} line {lineno}: manifest has unknown split "
+                            f"{name!r}") from None
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: malformed manifest line "
+                            f"{line!r}") from None
     if seed is None or dropped is None:
         raise DataError("manifest is missing its seed/dropped header lines")
     return membership, seed, dropped

@@ -166,20 +166,6 @@ def pair_nearest(records, frame_timestamps) -> list[FramePair]:
     return pairs
 
 
-def pair_nearest_bruteforce(records, frame_timestamps) -> list[int]:
-    """Independent full-scan oracle for pair_nearest (earlier frame on ties)."""
-    ts = list(frame_timestamps)
-    out = []
-    for record in records:
-        best_i, best_d = 0, abs(ts[0] - record.timestamp)
-        for i, t in enumerate(ts[1:], start=1):
-            d = abs(t - record.timestamp)
-            if d < best_d:
-                best_i, best_d = i, d
-        out.append(best_i)
-    return out
-
-
 def split_60_20_20(pairs, seed: int) -> DatasetSplit:
     """Seeded 60/20/20 split with floor sizes; leftovers (at most 2) dropped."""
     n = len(pairs)

@@ -10,22 +10,25 @@ Convolution is valid (no padding): output spatial extent is
 ``(H - k) // stride + 1``. Max-pool is a running ``np.maximum`` over the
 k*k strided slices of its input, one per window offset; its backward routes
 each window's gradient to the first maximal element in row-major window
-order. The sliding-window argmax it replaced is kept as
-``maxpool_forward_reference``/``maxpool_backward_reference``, the slow twins
-the property tests pin it to; nothing else calls them.
+order. The sliding-window argmax it replaced is kept as a slow twin in
+the tests' ``reference_twins`` module, which the property tests pin it to.
 
 Convolution lowers its batch with im2col in chunks of as many frames as fit
 in ``CONV_CHUNK_BYTES`` of columns (at least one), one matmul per chunk, so
-the columns stay in cache. The training cache holds only the input:
-backward rebuilds the columns chunk by chunk (compute traded for memory)
-and overwrites each chunk's columns with their gradient. It writes each
-frame's weight-gradient product into one (batch, out depth, C*k*k) buffer,
-summed over the batch at the end, and each chunk's ``col2im`` result into
-one input-gradient array. Each frame is its own product throughout, so
-every result is bit-identical to the whole-batch lowering kept as the
-test-only twins ``conv_forward_reference``/``conv_backward_reference``;
-the ``tensordot`` weight gradient is the test-only
-``conv_weight_grad_reference``.
+the columns stay in cache. A batch of several chunks runs them as tasks on
+one pool of ``CONV_WORKERS`` threads shared by every convolution, each
+thread bound to a CPU of its own; numpy releases the interpreter lock
+inside its kernels, so the tasks run on separate cores. A one-chunk batch, such as a serving frame, runs on the
+calling thread. The training cache holds only the input: backward rebuilds
+each chunk's columns in its task (compute traded for memory) and overwrites
+them with their gradient. Each task writes its frames' weight-gradient
+products into one (batch, out depth, C*k*k) buffer and its ``col2im``
+result into one input-gradient array; the batch sum of the weight gradient
+and the bias gradient follow on the calling thread once every task is
+done. Each frame is its own product throughout, so every result is
+bit-identical at any chunk budget or worker count, and to the whole-batch
+lowering kept, with the ``tensordot`` weight gradient, as test-only twins
+in ``reference_twins``.
 
 Each graph layer kind is one class, registered by name in ``LAYER_KINDS``;
 the class alone knows its hyper-parameters and shapes. Its ``infer_shape``
@@ -37,7 +40,10 @@ built from inferred shapes.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -46,29 +52,63 @@ from .tensor import DEFAULT_DTYPE, Param
 
 
 # Bytes of im2col columns a convolution builds at a time: a batch is lowered
-# in chunks of as many frames as fit, so the columns stay in cache. 2 MiB is
-# the smallest power of two that holds the columns of a batch-64 3CL-2FC
-# conv2 at 64x64 (1.8 MB) in one chunk. Swept at 0.5-8 MiB on a 2-CPU Xeon
-# (2 MiB L2 per core, 1 BLAS thread), while a one-chunk batch still kept its
-# columns for backward, that net's three convs took 41-45 ms per train step
-# at 1-4 MiB, against 49 and 55 ms at 0.5 and 8 MiB.
+# in chunks of as many frames as fit, so the columns stay in the L2 cache of
+# the core that lowers them. 2 MiB is the smallest power of two that holds
+# the columns of a batch-64 3CL-2FC conv2 at 64x64 (1.8 MB) in one chunk.
+# Swept with the chunks on two pool threads (2-CPU Xeon, 2 MiB L2 per core,
+# 1 BLAS thread; 20 alternating rounds in one process), that net's batch-64
+# train step took a median 43.9 ms at 2 MiB, against 45.4 ms at 1 MiB
+# (faster in 5 of 20 rounds), 44.6 ms at 4 MiB (9 of 20) and 74.4 ms at
+# 0.5 MiB (0 of 20), where conv1 hands the pool one frame per task; on the
+# calling thread alone it took 55.0 ms at 2 MiB.
 CONV_CHUNK_BYTES = 2 << 20
+
+# Threads that lower a multi-chunk batch: the CPUs this process may run on.
+CONV_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+
+_pool: ThreadPoolExecutor | None = None
+_pool_owner: tuple[int, int] | None = None     # (pid, workers) it was made for
+
+
+def _conv_pool() -> ThreadPoolExecutor:
+    """The pool shared by every convolution, made on first use. It is made
+    again in a forked child, whose copy has no live threads, and when
+    ``CONV_WORKERS`` changes.
+
+    Each worker binds itself to the next CPU this process may run on, in
+    turn. A kernel that does not balance load across CPUs (a cpuset with
+    load balancing off, say) keeps a new thread on the CPU of the thread
+    that made it, so unbound workers would all share one core."""
+    global _pool, _pool_owner
+    owner = (os.getpid(), CONV_WORKERS)
+    if _pool_owner != owner:
+        if _pool is not None and _pool_owner[0] == owner[0]:
+            _pool.shutdown(wait=False)
+        bind = None
+        if hasattr(os, "sched_setaffinity"):
+            cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
+
+            def bind():
+                os.sched_setaffinity(0, {next(cpus)})
+
+        _pool = ThreadPoolExecutor(CONV_WORKERS, thread_name_prefix="conv",
+                                   initializer=bind)
+        _pool_owner = owner
+    return _pool
 
 
 def conv_out_extent(extent: int, kernel: int, stride: int) -> int:
     return (extent - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = None
-           ) -> np.ndarray:
-    """Unfold (N,C,H,W) into (N, C*k*k, positions) patch columns, written
-    into the contiguous ``out`` when one is given."""
+def im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Unfold (N,C,H,W) into (N, C*k*k, positions) patch columns."""
     n, c, _, _ = x.shape
     win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
     ho, wo = win.shape[2], win.shape[3]
-    if out is None:
-        out = np.empty((n, c * kernel * kernel, ho * wo), dtype=x.dtype)
+    out = np.empty((n, c * kernel * kernel, ho * wo), dtype=x.dtype)
     np.copyto(out.reshape(n, c, kernel, kernel, ho, wo), win.transpose(0, 1, 4, 5, 2, 3))
     return out
 
@@ -205,19 +245,26 @@ class Conv2d(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def _column_chunks(self, x: np.ndarray):
-        """Yield (frame slice, its im2col columns) over ``x`` in chunks of as
-        many frames as fit in ``CONV_CHUNK_BYTES`` of columns, at least one;
-        every chunk's columns are written into one buffer."""
+    def _each_chunk(self, x: np.ndarray, task) -> None:
+        """Call ``task(frames)`` for frame slices of ``x`` in chunks of as
+        many frames as fit in ``CONV_CHUNK_BYTES`` of im2col columns, at
+        least one. Several chunks run on the shared pool of ``CONV_WORKERS``
+        threads; the call returns once every chunk is done, re-raising the
+        first error in chunk order. A single chunk, or ``CONV_WORKERS == 1``,
+        runs on the calling thread."""
         n, c, h, w = x.shape
         k, s = self.kernel, self.stride
         frame = c * k * k * conv_out_extent(h, k, s) * conv_out_extent(w, k, s)
         step = max(1, CONV_CHUNK_BYTES // (frame * x.itemsize))
-        buf = None
-        for a in range(0, n, step):
-            frames = slice(a, a + step)
-            buf = im2col(x[frames], k, s, None if buf is None else buf[: n - a])
-            yield frames, buf
+        chunks = [slice(a, a + step) for a in range(0, n, step)]
+        if len(chunks) == 1 or CONV_WORKERS == 1:
+            for frames in chunks:
+                task(frames)
+            return
+        futures = [_conv_pool().submit(task, frames) for frames in chunks]
+        wait(futures)
+        for future in futures:
+            future.result()
 
     def forward(self, x, train):
         od, _, k, _ = self.weight.value.shape
@@ -226,8 +273,11 @@ class Conv2d(Layer):
         wo = conv_out_extent(w, k, self.stride)
         wmat = self.weight.value.reshape(od, -1)
         out = np.empty((n, od, ho * wo), dtype=np.result_type(wmat, x))
-        for frames, cols in self._column_chunks(x):
-            np.matmul(wmat, cols, out=out[frames])
+
+        def lower(frames):
+            np.matmul(wmat, im2col(x[frames], k, self.stride), out=out[frames])
+
+        self._each_chunk(x, lower)
         out = out.reshape(n, od, ho, wo)
         out += self.bias.value[:, None, None]
         self._cache = x if train else None
@@ -244,7 +294,9 @@ class Conv2d(Layer):
         # rebuilt columns are spent once dW has read them, so the chunk's
         # column gradient overwrites them in the same cache-sized buffer
         reuse = dx.dtype == x.dtype
-        for frames, cols in self._column_chunks(x):
+
+        def lower(frames):
+            cols = im2col(x[frames], self.kernel, self.stride)
             gf = g[frames]
             if ho * wo == 1:
                 # one output position: each frame's product is an outer
@@ -254,44 +306,11 @@ class Conv2d(Layer):
                 np.matmul(gf, cols.transpose(0, 2, 1), out=dw[frames])
             dcols = np.matmul(wmat.T, gf, out=cols if reuse else None)
             dx[frames] = col2im(dcols, (len(gf),) + x.shape[1:], self.kernel, self.stride)
+
+        self._each_chunk(x, lower)
         self.weight.add_grad(dw.sum(axis=0).reshape(self.weight.value.shape))
         self.bias.add_grad(grad_out.sum(axis=(0, 2, 3)))
         return dx
-
-
-def conv_forward_reference(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                           stride: int) -> np.ndarray:
-    """Slow twin of ``Conv2d.forward``: one im2col and one matmul over the
-    whole batch. Test-only."""
-    od, _, k, _ = weight.shape
-    n, _, h, w = x.shape
-    cols = im2col(x, k, stride)
-    out = np.matmul(weight.reshape(od, -1), cols)
-    ho = conv_out_extent(h, k, stride)
-    wo = conv_out_extent(w, k, stride)
-    return out.reshape(n, od, ho, wo) + bias[:, None, None]
-
-
-def conv_backward_reference(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
-                            stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slow twin of ``Conv2d.backward``: (dx, dW, db) from the whole batch's
-    columns at once. Test-only."""
-    n, od, ho, wo = grad_out.shape
-    k = weight.shape[2]
-    cols = im2col(x, k, stride)
-    g = grad_out.reshape(n, od, ho * wo)
-    dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-    wmat = weight.reshape(od, -1)
-    dcols = np.matmul(wmat.T, g)
-    return (col2im(dcols, x.shape, k, stride), dw.reshape(weight.shape),
-            grad_out.sum(axis=(0, 2, 3)))
-
-
-def conv_weight_grad_reference(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Slow twin of the weight gradient in ``Conv2d.backward``: (od, C*k*k)
-    from the (n, od, P) output gradient and (n, C*k*k, P) columns, via
-    ``tensordot`` (which copies the transposed columns first). Test-only."""
-    return np.tensordot(g, cols, axes=([0, 2], [0, 2]))
 
 
 def _pool_offsets(k: int, s: int, ho: int, wo: int) -> list[tuple]:
@@ -354,30 +373,6 @@ class MaxPool2d(Layer):
         # a window still unrouted has its (first) maximum at the last offset
         dx[offsets[-1]] += np.where(free, grad_out, 0)
         return dx
-
-
-def maxpool_forward_reference(x: np.ndarray, k: int, s: int):
-    """Slow twin of ``MaxPool2d.forward``: (output, row-major argmax of
-    each window) from a sliding-window view. Test-only."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::s, ::s]
-    flat = win.reshape(win.shape[:4] + (k * k,))
-    arg = flat.argmax(axis=-1)
-    out = flat.max(axis=-1)
-    return out, arg
-
-
-def maxpool_backward_reference(x_shape: tuple, arg: np.ndarray, grad: np.ndarray,
-                               k: int, s: int) -> np.ndarray:
-    """Slow twin of ``MaxPool2d.backward``: scatter ``grad`` to each
-    window's argmax from ``maxpool_forward_reference``. Test-only."""
-    ho, wo = arg.shape[2], arg.shape[3]
-    dx = np.zeros(x_shape, dtype=grad.dtype)
-    for idx in range(k * k):
-        di, dj = divmod(idx, k)
-        contrib = np.where(arg == idx, grad, 0)
-        dx[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += contrib
-    return dx
 
 
 class BatchNorm2d(Layer):

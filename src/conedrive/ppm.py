@@ -13,8 +13,9 @@ output width) and read-only, since every call shares it. A crop already at
 the target size is only converted. Conversion is per element, and each
 output element goes through the same float64 products and sums, in the same
 order, as in the float (H, W, C) resample that converts the whole crop
-first. That resample is kept as ``bilinear_resize_reference``, the
-test-only twin a property test pins ``load_image`` to byte for byte.
+first. That resample is kept as a test-only twin in the tests'
+``reference_twins`` module, which a property test pins ``load_image`` to
+byte for byte.
 """
 from __future__ import annotations
 
@@ -83,28 +84,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-def bilinear_resize_reference(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample of (H, W, C) float data; identity when sizes match.
-
-    The twin of ``load_image``'s byte-first resample. Test-only."""
-    h, w = image.shape[:2]
-    if (h, w) == (out_h, out_w):
-        return image.copy()
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    ys = np.clip(ys, 0, h - 1)
-    xs = np.clip(xs, 0, w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
-    bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
-
-
 _U8_MAX = np.float32(255.0)
 
 
@@ -117,7 +96,7 @@ def _to_unit(u8: np.ndarray, out: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _resample_plan(h: int, w: int, out_h: int, out_w: int):
     """Gather indices and weights resampling an (h, w, 3) crop to
-    (out_h, out_w), those of ``bilinear_resize_reference``; read-only.
+    (out_h, out_w), those of the float resample; read-only.
 
     ``rows`` picks the top source row of each output row, then the bottom
     one. ``taps`` indexes the flattened (2*out_h, w, 3) row gather, laid

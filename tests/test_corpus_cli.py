@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conedrive import cli, corpus
+from conedrive import cli, corpus, layers
 from conedrive.bench import hardware_description
 from conedrive.checkpoint import save_checkpoint
 from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
@@ -128,11 +128,13 @@ class TestCli:
 
     def test_run_info_records_blas_and_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setattr(layers, "CONV_WORKERS", 5)
         out = tmp_path / "prep"
         assert main(["prep", "--synth", "20", "--out", str(out)]) == EXIT_OK
         lines = (out / "run_info.txt").read_text().splitlines()
         assert f"hardware: {hardware_description()}" in lines
-        assert any("blas " in ln and "OPENBLAS_NUM_THREADS=3" in ln for ln in lines)
+        assert any("blas " in ln and "OPENBLAS_NUM_THREADS=3" in ln
+                   and ln.endswith("; conv_workers=5") for ln in lines)
 
     def test_prep_missing_csv_exit_code(self, tmp_path):
         code = main(["prep", "--telemetry", str(tmp_path / "nope.csv"),
@@ -355,6 +357,53 @@ class TestCli:
         code = main(["eval", "--checkpoint", str(ckpt), "--synth", "40",
                      "--batch-size", "4", "--out", str(tmp_path / "o")])
         assert code == (EXIT_OK if case == "intact" else EXIT_BAD_INPUT)
+
+    @pytest.mark.parametrize("row", ["5\tsoon\n", "5\t10.0\t11.0\n", "5\n", "x\t10.0\n"],
+                             ids=["stamp-not-a-number", "three-columns", "one-column",
+                                  "index-not-an-integer"])
+    def test_malformed_frames_index_exits_bad_input(self, tmp_path, corpus_dir, capsys,
+                                                    row):
+        # prep reads the index alone, so the frames directory needs no images
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        index = (corpus_dir / "frames" / "frames_index.tsv").read_text()
+        (frames / "frames_index.tsv").write_text(index + row)
+        code = main(["prep", "--telemetry", str(corpus_dir / "telemetry.csv"),
+                     "--frames", str(frames), "--out", str(tmp_path / "o")])
+        assert code == EXIT_BAD_INPUT
+        assert "frames_index.tsv line 62: malformed frames index row" in \
+            capsys.readouterr().err
+
+    # (text replaced, its replacement, the line reported): the manifest's
+    # header, seed, dropped, counts and table header lines come first
+    @pytest.mark.parametrize("old,new,line", [
+        ("seed 0\n", "seed x\n", 2),
+        ("seed 0\n", "seed \n", 2),
+        ("dropped 0\n", "dropped 0 1\n", 3),
+        ("frame_index\n", "frame_index\ntrain\t3\n", 6),
+        ("frame_index\n", "frame_index\nval\t3\tfour\n", 6),
+    ], ids=["seed-not-an-integer", "seed-missing", "dropped-twice", "short-row",
+            "row-not-integer"])
+    def test_malformed_manifest_exits_bad_input(self, tmp_path, corpus_dir, capsys,
+                                                old, new, line):
+        prep = tmp_path / "prep"
+        assert main(["prep", "--telemetry", str(corpus_dir / "telemetry.csv"),
+                     "--frames", str(corpus_dir / "frames"), "--seed", "0",
+                     "--out", str(prep)]) == EXIT_OK
+        manifest = prep / "manifest.tsv"
+        text = manifest.read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new, 1))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                     "--telemetry", str(corpus_dir / "telemetry.csv"),
+                     "--frames", str(corpus_dir / "frames"), "--batch-size", "4",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_BAD_INPUT
+        assert f"manifest.tsv line {line}: malformed manifest line" in \
+            capsys.readouterr().err
 
     def test_identical_args_reproduce_manifest_bytes(self, tmp_path):
         outs = []

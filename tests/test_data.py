@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from conedrive.data import (FramePair, SteeringClass, TelemetryRecord,
                             brake_throttle_arrays, build_mixed_set,
                             classification_arrays, discretize_steering,
-                            pair_nearest, pair_nearest_bruteforce, parse_telemetry,
-                            regression_arrays, scale_signals, shift_augment,
-                            split_60_20_20)
+                            pair_nearest, parse_telemetry, regression_arrays,
+                            scale_signals, shift_augment, split_60_20_20)
 from conedrive.errors import DataError
+from reference_twins import pair_nearest_bruteforce
 
 HEADER = "timestamp,steering,brake,throttle,left_motor_speed,right_motor_speed"
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from conedrive import ppm
 from conedrive.data import discretize_steering
 from conedrive.errors import DataError
-from conedrive.ppm import (bilinear_resize_reference, default_center_crop,
-                           load_image, read_ppm, to_u8, write_ppm)
+from conedrive.ppm import default_center_crop, load_image, read_ppm, to_u8, write_ppm
 from conedrive.synth import (brake_for, motor_raw_for, render_track_frame,
                              synth_track_dataset, throttle_for)
+from reference_twins import bilinear_resize_reference
 
 
 class TestNetpbm:

@@ -1,4 +1,10 @@
 """Layer forward semantics against hand values and brute-force oracles."""
+import itertools
+import os
+import select
+import signal
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +14,12 @@ from conedrive import layers
 from conedrive.errors import GraphError, ShapeError
 from conedrive.graph import Model, ModelSpec, NodeSpec, spec
 from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
-                              MaxPool2d, ReLU, ScaledSigmoid, conv_backward_reference,
-                              conv_forward_reference, conv_weight_grad_reference, im2col,
-                              maxpool_backward_reference, maxpool_forward_reference,
+                              MaxPool2d, ReLU, ScaledSigmoid, col2im, im2col,
                               softmax_cross_entropy)
 from conedrive.tensor import Param
+from reference_twins import (conv_backward_reference, conv_forward_reference,
+                             conv_weight_grad_reference, maxpool_backward_reference,
+                             maxpool_forward_reference)
 
 
 def conv2d_bruteforce(x, weight, bias, stride):
@@ -102,6 +109,13 @@ def chunked_conv_cases(draw):
             draw(st.integers(1, n)))
 
 
+def chunk_budget(conv, x, grad_out, frames):
+    """A ``CONV_CHUNK_BYTES`` that lowers ``x`` in chunks of ``frames``."""
+    frame_bytes = (x.shape[1] * conv.kernel ** 2 * grad_out.shape[2] * grad_out.shape[3]
+                   * x.itemsize)
+    return frames * frame_bytes + frame_bytes - 1
+
+
 def assert_same(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
@@ -186,9 +200,7 @@ class TestConv2d:
     @settings(max_examples=300, deadline=None)
     def test_chunked_matches_whole_batch_twins(self, case):
         conv, x, grad, step = case
-        n, od, ho, wo = grad.shape
-        k, s = conv.kernel, conv.stride
-        frame_bytes = x.shape[1] * k * k * ho * wo * x.itemsize
+        n = len(x)
         lowered = []
 
         def counted(*args, **kwargs):
@@ -196,23 +208,104 @@ class TestConv2d:
             return im2col(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(layers, "CONV_CHUNK_BYTES", step * frame_bytes + frame_bytes - 1)
+            mp.setattr(layers, "CONV_CHUNK_BYTES", chunk_budget(conv, x, grad, step))
+            mp.setattr(layers, "CONV_WORKERS", 2)
             mp.setattr(layers, "im2col", counted)
             evaluated = conv.forward(x, train=False)
             out = conv.forward(x, train=True)
             dx = conv.backward(grad)
         chunks = [min(step, n - a) for a in range(0, n, step)]
         # eval forward, training forward, and backward each lower every chunk
-        assert lowered == chunks * 3
-        want = conv_forward_reference(x, conv.weight.value, conv.bias.value, s)
+        # once; the pool's threads lower a pass's chunks in any order
+        passes = [lowered[a:a + len(chunks)] for a in range(0, len(lowered), len(chunks))]
+        assert [sorted(p) for p in passes] == [sorted(chunks)] * 3
+        want = conv_forward_reference(x, conv.weight.value, conv.bias.value, conv.stride)
         assert_same(evaluated, want)
         assert_same(out, want)
         want_dx, want_dw, want_db = conv_backward_reference(x, conv.weight.value,
-                                                            grad, s)
+                                                            grad, conv.stride)
         assert_same(dx, want_dx)
         # parameter gradients are stored in the parameter's dtype
         assert_same(conv.weight.grad, want_dw.astype(conv.weight.value.dtype))
         assert_same(conv.bias.grad, want_db.astype(conv.bias.value.dtype))
+
+    @given(chunked_conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_worker_count_leaves_every_bit(self, case):
+        conv, x, grad, step = case
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layers, "CONV_CHUNK_BYTES", chunk_budget(conv, x, grad, step))
+            for workers in (1, 2, 3):
+                mp.setattr(layers, "CONV_WORKERS", workers)
+                conv.weight.grad = conv.bias.grad = None
+                evaluated = conv.forward(x, train=False)
+                out = conv.forward(x, train=True)
+                dx = conv.backward(grad)
+                runs.append([a.tobytes() for a in (evaluated, out, dx, conv.weight.grad,
+                                                   conv.bias.grad)])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_error_in_one_chunk_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(layers, "CONV_CHUNK_BYTES", 1)    # a chunk per frame
+        monkeypatch.setattr(layers, "CONV_WORKERS", 2)
+        conv = make_conv(2, 3, 3, 1)
+        x = np.random.default_rng(0).standard_normal((5, 2, 6, 6))
+        grad = np.random.default_rng(1).standard_normal((5, 3, 4, 4))
+        calls = itertools.count()
+
+        def failing(*args):
+            if next(calls) == 2:
+                raise RuntimeError("chunk lost")
+            return col2im(*args)
+
+        conv.forward(x, train=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(layers, "col2im", failing)
+            with pytest.raises(RuntimeError, match="chunk lost"):
+                conv.backward(grad)
+        # the pool still serves the next call
+        want_dx, _, _ = conv_backward_reference(x, conv.weight.value, grad, 1)
+        assert_same(conv.backward(grad), want_dx)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_pool_workers_run_on_separate_cpus(self, monkeypatch):
+        monkeypatch.setattr(layers, "CONV_WORKERS", 2)
+        cpus = sorted(os.sched_getaffinity(0))
+        both = threading.Barrier(2, timeout=60)
+
+        def where():
+            both.wait()                     # so each worker takes one call
+            return os.sched_getaffinity(0)
+
+        pool = layers._conv_pool()
+        found = [future.result() for future in [pool.submit(where) for _ in range(2)]]
+        assert sorted(found, key=min) == [{cpus[0]}, {cpus[1]}]
+        assert sorted(os.sched_getaffinity(0)) == cpus    # the caller stays unbound
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_lowers_after_the_pool_started(self, monkeypatch):
+        monkeypatch.setattr(layers, "CONV_CHUNK_BYTES", 1)
+        monkeypatch.setattr(layers, "CONV_WORKERS", 2)
+        conv = make_conv(2, 3, 3, 1)
+        x = np.random.default_rng(0).standard_normal((4, 2, 6, 6))
+        want = conv.forward(x, train=False).tobytes()       # the pool is running
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write_end, conv.forward(x, train=False).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        ready, _, _ = select.select([read_end], [], [], 60)
+        got = os.read(read_end, 2 * len(want)) if ready else None
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(read_end)
+        assert got == want, "the forked child's forward did not finish in 60 s"
 
     def test_backward_requires_train_forward(self):
         conv = make_conv(1, 1, 3, 1)

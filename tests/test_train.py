@@ -1,4 +1,6 @@
 """Trainer semantics: schedule, SGD, determinism, divergence, grid search."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -161,9 +163,12 @@ class TestTrainLoop:
     def test_conv_chunk_budget_leaves_training_byte_identical(self, monkeypatch):
         train_data, val_data = small_sets(n=48, size=32)
         runs = []
-        # one frame per chunk; conv1 in chunks of 3, 3 and 2; the whole batch
-        for budget in (1, 3 * 75 * 14 * 14 * 4, 1 << 40):
+        # one frame per chunk; conv1 in chunks of 3, 3 and 2; the whole batch;
+        # each on the calling thread and on two pool threads
+        for budget, workers in itertools.product((1, 3 * 75 * 14 * 14 * 4, 1 << 40),
+                                                 (1, 2)):
             monkeypatch.setattr(layers, "CONV_CHUNK_BYTES", budget)
+            monkeypatch.setattr(layers, "CONV_WORKERS", workers)
             model = Model(make_discrete_model("2CL-2FC", input_hw=32), seed=3)
             result = train(model, train_data, val_data,
                            self.config(epochs=2, batch_size=8, seed=4))
@@ -171,7 +176,7 @@ class TestTrainLoop:
                           for s in result.history],
                          [(name, value.tobytes())
                           for name, value in model.state_tensors()]))
-        assert runs[0] == runs[1] == runs[2]
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_toy_cross_entropy_monotone_non_increasing(self):
         # two linearly separable points, full-batch descent at a small rate
