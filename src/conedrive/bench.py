@@ -5,7 +5,7 @@ monotonic clock; warmup iterations are excluded. Every input is a batch of
 one frame, the controller's serving shape, built once before the loop, so
 timing never includes input preparation. A batch-1 forward is one chunk of
 every convolution, so it runs on the calling thread alone (see
-``layers.CONV_WORKERS``) and the loop stays single-threaded; run it on an
+``layers.Conv2d``) and the loop stays single-threaded; run it on an
 otherwise idle machine. Per-layer-kind
 aggregation reports the mean added latency per conv layer, per FC layer,
 and so on.
@@ -20,7 +20,7 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from . import layers as L
+from . import workers
 from .graph import Model
 
 
@@ -83,13 +83,13 @@ def _blas() -> str:
 
 def hardware_description() -> str:
     """Machine, interpreter, numpy, BLAS, the BLAS thread variables, the
-    CPU count and the convolution worker count."""
+    CPU count and the worker count of the shared pool (``workers.WORKERS``)."""
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     return (f"{platform.machine()} {platform.processor() or 'cpu'}; "
             f"python {sys.version.split()[0]}; numpy {np.__version__}; "
             f"blas {_blas()}; {threads}; cpus={os.cpu_count()}; "
-            f"conv_workers={L.CONV_WORKERS}")
+            f"workers={workers.WORKERS}")
 
 
 def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,

@@ -5,13 +5,23 @@ A corpus directory holds ``telemetry.csv`` (raw motor units) plus a
 ``frames_index.tsv`` sidecar mapping frame index to timestamp in
 milliseconds. A dataset manifest pins split membership by
 (log row, frame index) so any split is exactly reproducible and auditable.
+
+``load_pairs`` decodes a split's frames on the package's shared thread pool
+(``workers``), one contiguous run of rows per worker, and returns the pairs
+in row order, so its output is the same bytes at any worker count. The
+telemetry log is read on every call, but its parse is reused while the
+text is unchanged, so ``prep_corpus`` and each split's ``load_pairs`` share
+one parse.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 
 import numpy as np
 
+from . import workers
 from .data import (DatasetSplit, FramePair, MOTOR_SCALE, TELEMETRY_HEADER,
                    pair_nearest, parse_telemetry, scale_records, scale_signals,
                    split_60_20_20)
@@ -126,14 +136,30 @@ def read_manifest(path):
     return membership, seed, dropped
 
 
+@functools.lru_cache(maxsize=1)
+def _parse_text(text: str):
+    records, skipped = parse_telemetry(text)
+    return tuple(records), tuple(skipped)
+
+
+def _read_telemetry(path):
+    """``parse_telemetry`` of the file at ``path``. The file is read on every
+    call, but the parse of the last text read is reused while the text is
+    unchanged, so a pass over ``prep_corpus`` and each split's
+    ``load_pairs`` parses its log once. The records are frozen; the lists
+    returned are fresh."""
+    with open(path) as fh:
+        records, skipped = _parse_text(fh.read())
+    return list(records), list(skipped)
+
+
 def prep_corpus(telemetry_path, frames_dir, seed: int):
     """parse -> scale -> pair -> split on an on-disk corpus.
 
     Returns (split, skipped row numbers, clamp warnings). Images are not
     loaded here; pairing needs timestamps only.
     """
-    with open(telemetry_path) as fh:
-        records, skipped = parse_telemetry(fh.read())
+    records, skipped = _read_telemetry(telemetry_path)
     records, warnings = scale_records(records)
     indexes, stamps = read_frames_index(frames_dir)
     pairs = pair_nearest(records, stamps)
@@ -149,17 +175,29 @@ def load_pairs(membership_rows, telemetry_path, frames_dir,
     """Materialize manifest rows into FramePairs with images loaded.
 
     The whole log is parsed, since a log row indexes its valid records, but
-    only the rows loaded are scaled."""
-    with open(telemetry_path) as fh:
-        records, _ = parse_telemetry(fh.read())
-    pairs = []
-    for log_row, frame_index in membership_rows:
+    only the rows loaded are scaled. Every log row is checked before any
+    frame is read. The frames are then decoded in one contiguous part of
+    the rows per worker, through ``workers.run``; a frame that cannot be
+    decoded raises the error of the first such frame in row order, naming
+    its file."""
+    records, _ = _read_telemetry(telemetry_path)
+    for log_row, _ in membership_rows:
         if not 0 <= log_row < len(records):
             raise DataError(f"manifest log row {log_row} outside telemetry log")
-        image = load_image(
-            os.path.join(frames_dir, frame_filename(frame_index)),
-            crop=crop, target=image_size,
-        )
-        record, _ = scale_signals(records[log_row])
-        pairs.append(FramePair(image, record, log_row, frame_index))
-    return pairs
+    paths = [os.path.join(frames_dir, frame_filename(frame_index))
+             for _, frame_index in membership_rows]
+
+    def decode(part):
+        images = []
+        for path in paths[part]:
+            try:
+                images.append(load_image(path, crop=crop, target=image_size))
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+        return images
+
+    step = max(1, -(-len(paths) // workers.WORKERS))
+    parts = [slice(a, a + step) for a in range(0, len(paths), step)]
+    images = itertools.chain.from_iterable(workers.run(decode, parts))
+    return [FramePair(image, scale_signals(records[log_row])[0], log_row, frame_index)
+            for image, (log_row, frame_index) in zip(images, membership_rows)]

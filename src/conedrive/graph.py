@@ -227,9 +227,9 @@ class Model:
     0..k-1 in spec order, then each node in topological order the next one.
     A single instance must not run concurrent training-mode forwards (the
     per-layer caches are mutable); clones may run eval forwards in parallel.
-    Every convolution of every model hands its multi-chunk batches to one
-    shared pool of ``layers.CONV_WORKERS`` threads, so clones forwarding in
-    parallel queue their chunks on the same threads and start no more.
+    Every convolution of every model hands its multi-chunk batches to the
+    package's one pool of ``workers.WORKERS`` threads, so clones forwarding
+    in parallel queue their chunks on the same threads and start no more.
     """
 
     def __init__(self, spec: ModelSpec, seed: int = 0, dtype=DEFAULT_DTYPE):

@@ -16,19 +16,18 @@ the tests' ``reference_twins`` module, which the property tests pin it to.
 Convolution lowers its batch with im2col in chunks of as many frames as fit
 in ``CONV_CHUNK_BYTES`` of columns (at least one), one matmul per chunk, so
 the columns stay in cache. A batch of several chunks runs them as tasks on
-one pool of ``CONV_WORKERS`` threads shared by every convolution, each
-thread bound to a CPU of its own; numpy releases the interpreter lock
-inside its kernels, so the tasks run on separate cores. A one-chunk batch, such as a serving frame, runs on the
-calling thread. The training cache holds only the input: backward rebuilds
-each chunk's columns in its task (compute traded for memory) and overwrites
-them with their gradient. Each task writes its frames' weight-gradient
-products into one (batch, out depth, C*k*k) buffer and its ``col2im``
-result into one input-gradient array; the batch sum of the weight gradient
-and the bias gradient follow on the calling thread once every task is
-done. Each frame is its own product throughout, so every result is
-bit-identical at any chunk budget or worker count, and to the whole-batch
-lowering kept, with the ``tensordot`` weight gradient, as test-only twins
-in ``reference_twins``.
+the package's one pool of ``workers.WORKERS`` threads, each bound to a CPU
+of its own, which frame decoding shares (see ``workers``). A one-chunk
+batch, such as a serving frame, runs on the calling thread. The training
+cache holds only the input: backward rebuilds each chunk's columns in its
+task (compute traded for memory) and overwrites them with their gradient.
+Each task writes its frames' weight-gradient products into one (batch, out
+depth, C*k*k) buffer and its ``col2im`` result into one input-gradient
+array; the batch sum of the weight gradient and the bias gradient follow
+on the calling thread once every task is done. Each frame is its own
+product throughout, so every result is bit-identical at any chunk budget
+or worker count, and to the whole-batch lowering kept, with the
+``tensordot`` weight gradient, as test-only twins in ``reference_twins``.
 
 Each graph layer kind is one class, registered by name in ``LAYER_KINDS``;
 the class alone knows its hyper-parameters and shapes. Its ``infer_shape``
@@ -40,13 +39,11 @@ built from inferred shapes.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from . import workers
 from .errors import GraphError, ShapeError
 from .tensor import DEFAULT_DTYPE, Param
 
@@ -62,40 +59,6 @@ from .tensor import DEFAULT_DTYPE, Param
 # 0.5 MiB (0 of 20), where conv1 hands the pool one frame per task; on the
 # calling thread alone it took 55.0 ms at 2 MiB.
 CONV_CHUNK_BYTES = 2 << 20
-
-# Threads that lower a multi-chunk batch: the CPUs this process may run on.
-CONV_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-
-_pool: ThreadPoolExecutor | None = None
-_pool_owner: tuple[int, int] | None = None     # (pid, workers) it was made for
-
-
-def _conv_pool() -> ThreadPoolExecutor:
-    """The pool shared by every convolution, made on first use. It is made
-    again in a forked child, whose copy has no live threads, and when
-    ``CONV_WORKERS`` changes.
-
-    Each worker binds itself to the next CPU this process may run on, in
-    turn. A kernel that does not balance load across CPUs (a cpuset with
-    load balancing off, say) keeps a new thread on the CPU of the thread
-    that made it, so unbound workers would all share one core."""
-    global _pool, _pool_owner
-    owner = (os.getpid(), CONV_WORKERS)
-    if _pool_owner != owner:
-        if _pool is not None and _pool_owner[0] == owner[0]:
-            _pool.shutdown(wait=False)
-        bind = None
-        if hasattr(os, "sched_setaffinity"):
-            cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
-
-            def bind():
-                os.sched_setaffinity(0, {next(cpus)})
-
-        _pool = ThreadPoolExecutor(CONV_WORKERS, thread_name_prefix="conv",
-                                   initializer=bind)
-        _pool_owner = owner
-    return _pool
 
 
 def conv_out_extent(extent: int, kernel: int, stride: int) -> int:
@@ -248,23 +211,12 @@ class Conv2d(Layer):
     def _each_chunk(self, x: np.ndarray, task) -> None:
         """Call ``task(frames)`` for frame slices of ``x`` in chunks of as
         many frames as fit in ``CONV_CHUNK_BYTES`` of im2col columns, at
-        least one. Several chunks run on the shared pool of ``CONV_WORKERS``
-        threads; the call returns once every chunk is done, re-raising the
-        first error in chunk order. A single chunk, or ``CONV_WORKERS == 1``,
-        runs on the calling thread."""
+        least one, through ``workers.run``."""
         n, c, h, w = x.shape
         k, s = self.kernel, self.stride
         frame = c * k * k * conv_out_extent(h, k, s) * conv_out_extent(w, k, s)
         step = max(1, CONV_CHUNK_BYTES // (frame * x.itemsize))
-        chunks = [slice(a, a + step) for a in range(0, n, step)]
-        if len(chunks) == 1 or CONV_WORKERS == 1:
-            for frames in chunks:
-                task(frames)
-            return
-        futures = [_conv_pool().submit(task, frames) for frames in chunks]
-        wait(futures)
-        for future in futures:
-            future.result()
+        workers.run(task, [slice(a, a + step) for a in range(0, n, step)])
 
     def forward(self, x, train):
         od, _, k, _ = self.weight.value.shape

@@ -5,7 +5,7 @@ from time import perf_counter_ns
 import numpy as np
 import pytest
 
-from conedrive import layers
+from conedrive import workers
 from conedrive.bench import bench_forward, hardware_description, write_latency_report
 from conedrive.graph import Model
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
@@ -101,13 +101,13 @@ def test_report_adds_median_p90_and_numeric_environment(small_report, monkeypatc
         <= report.end_to_end_p90_ns
     assert f"numpy {np.__version__}; blas " in report.hardware
     assert report.hardware.endswith(
-        f"; cpus={os.cpu_count()}; conv_workers={layers.CONV_WORKERS}")
+        f"; cpus={os.cpu_count()}; workers={workers.WORKERS}")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setattr(layers, "CONV_WORKERS", 3)
+    monkeypatch.setattr(workers, "WORKERS", 3)
     assert hardware_description().endswith(
         f"; OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset; cpus={os.cpu_count()}; "
-        "conv_workers=3")
+        "workers=3")
 
 
 def test_brake_throttle_model_benches():

@@ -1,11 +1,14 @@
 """On-disk corpus formats and the CLI workflows end to end."""
 import argparse
+import shutil
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conedrive import cli, corpus, layers
+from conedrive import cli, corpus, workers
 from conedrive.bench import hardware_description
 from conedrive.checkpoint import save_checkpoint
 from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
@@ -86,6 +89,52 @@ class TestCorpusFormats:
         with pytest.raises(DataError, match="log row 59 outside telemetry log"):
             corpus.load_pairs([(59, 59)], telemetry, corpus_dir / "frames", 8)
 
+    def test_a_pass_parses_its_telemetry_once(self, corpus_dir, tmp_path, monkeypatch):
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text((corpus_dir / "telemetry.csv").read_text())
+        frames = corpus_dir / "frames"
+        parses = []
+
+        def counted(text):
+            parses.append(text)
+            return parse_telemetry(text)
+
+        monkeypatch.setattr(corpus, "parse_telemetry", counted)
+        corpus._parse_text.cache_clear()        # other tests parsed this text
+        split, skipped, _ = prep_corpus(telemetry, frames, seed=0)
+        skipped.append(99)                      # a caller's list is its own
+        for pairs in (split.train, split.validation, split.test):
+            corpus.load_pairs([(p.log_row, p.frame_index) for p in pairs],
+                              telemetry, frames, 8)
+        assert len(parses) == 1
+        assert prep_corpus(telemetry, frames, seed=0)[1] == []
+        lines = telemetry.read_text().splitlines()
+        lines[3] = "not,a,row"                  # later log rows move up one
+        telemetry.write_text("\n".join(lines) + "\n")
+        (pair,) = corpus.load_pairs([(2, 2)], telemetry, frames, 8)
+        assert len(parses) == 2
+        records, _ = scale_records(parse_telemetry(telemetry.read_text())[0])
+        assert pair.record == records[2]
+
+    @given(rows=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=40),
+           size=st.sampled_from([8, 32]))
+    @example(rows=[], size=8)
+    @example(rows=[(7, 7)], size=8)
+    @example(rows=[(9, 9), (2, 2)], size=8)                 # fewer rows than workers
+    @example(rows=[(i, 59 - i) for i in range(60)], size=32)
+    @settings(max_examples=40, deadline=None)
+    def test_worker_count_leaves_loaded_pairs_identical(self, corpus_dir, rows, size):
+        loaded = []
+        with pytest.MonkeyPatch.context() as mp:
+            for count in (1, 2, 3):
+                mp.setattr(workers, "WORKERS", count)
+                pairs = corpus.load_pairs(rows, corpus_dir / "telemetry.csv",
+                                          corpus_dir / "frames", size)
+                loaded.append([(p.image.shape, p.image.dtype, p.image.tobytes(), p.record,
+                                p.log_row, p.frame_index) for p in pairs])
+        assert [(p[4], p[5]) for p in loaded[0]] == rows
+        assert loaded[0] == loaded[1] == loaded[2]
+
     def test_manifest_roundtrip(self, corpus_dir, tmp_path):
         pairs = synth_track_dataset(30, image_size=32, seed=1)
         split = split_60_20_20(pairs, seed=7)
@@ -128,13 +177,13 @@ class TestCli:
 
     def test_run_info_records_blas_and_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        monkeypatch.setattr(layers, "CONV_WORKERS", 5)
+        monkeypatch.setattr(workers, "WORKERS", 5)
         out = tmp_path / "prep"
         assert main(["prep", "--synth", "20", "--out", str(out)]) == EXIT_OK
         lines = (out / "run_info.txt").read_text().splitlines()
         assert f"hardware: {hardware_description()}" in lines
         assert any("blas " in ln and "OPENBLAS_NUM_THREADS=3" in ln
-                   and ln.endswith("; conv_workers=5") for ln in lines)
+                   and ln.endswith("; workers=5") for ln in lines)
 
     def test_prep_missing_csv_exit_code(self, tmp_path):
         code = main(["prep", "--telemetry", str(tmp_path / "nope.csv"),
@@ -404,6 +453,63 @@ class TestCli:
         assert code == EXIT_BAD_INPUT
         assert f"manifest.tsv line {line}: malformed manifest line" in \
             capsys.readouterr().err
+
+    @pytest.fixture
+    def two_part_eval(self, tmp_path, corpus_dir, monkeypatch):
+        """(the test split's frame files, a function running ``eval`` on a
+        copy of ``corpus_dir``'s frames), decoded in two parts."""
+        monkeypatch.setattr(workers, "WORKERS", 2)
+        prep = tmp_path / "prep"
+        assert main(["prep", "--telemetry", str(corpus_dir / "telemetry.csv"),
+                     "--frames", str(corpus_dir / "frames"), "--seed", "0",
+                     "--out", str(prep)]) == EXIT_OK
+        frames = tmp_path / "frames"
+        shutil.copytree(corpus_dir / "frames", frames)
+        membership, _, _ = read_manifest(prep / "manifest.tsv")
+        files = [frames / corpus.frame_filename(index) for _, index in membership["test"]]
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
+
+        def run_eval():
+            return main(["eval", "--checkpoint", str(ckpt),
+                         "--manifest", str(prep / "manifest.tsv"),
+                         "--telemetry", str(corpus_dir / "telemetry.csv"),
+                         "--frames", str(frames), "--batch-size", "4",
+                         "--out", str(tmp_path / "o")])
+        return files, run_eval
+
+    @pytest.mark.parametrize("payload,message", [
+        (b"P5\n32 32\n255\n" + bytes(1024),
+         "malformed image: expected magic P6, got b'P5'"),
+        (b"P6\n32 32\n255\n" + bytes(4),
+         "truncated image payload: expected 3072 bytes, got 4"),
+    ], ids=["magic", "truncated"])
+    def test_bad_frame_exits_bad_input_naming_its_file(self, two_part_eval, capsys,
+                                                       payload, message):
+        files, run_eval = two_part_eval
+        assert len(files) == 12                 # rows 6 to 11 form the second part
+        files[8].write_bytes(payload)
+        capsys.readouterr()
+        assert run_eval() == EXIT_BAD_INPUT
+        assert f"error: {files[8]}: {message}" in capsys.readouterr().err
+
+    def test_missing_frame_exits_missing_input(self, two_part_eval, capsys):
+        files, run_eval = two_part_eval
+        files[8].unlink()
+        capsys.readouterr()
+        assert run_eval() == EXIT_MISSING_INPUT
+        assert str(files[8]) in capsys.readouterr().err
+
+    def test_first_bad_frame_in_row_order_is_reported(self, two_part_eval, capsys):
+        files, run_eval = two_part_eval
+        files[2].write_bytes(b"P6\n32 32\n255\n" + bytes(4))
+        files[3].write_bytes(b"P5\n32 32\n255\n" + bytes(1024))
+        files[9].write_bytes(b"P5\n32 32\n255\n" + bytes(1024))
+        capsys.readouterr()
+        assert run_eval() == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert f"error: {files[2]}: truncated image payload" in err
+        assert str(files[3]) not in err and str(files[9]) not in err
 
     def test_identical_args_reproduce_manifest_bytes(self, tmp_path):
         outs = []

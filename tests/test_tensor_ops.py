@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedrive import layers
+from conedrive import layers, workers
+from conedrive.corpus import load_pairs, write_corpus
 from conedrive.errors import GraphError, ShapeError
 from conedrive.graph import Model, ModelSpec, NodeSpec, spec
 from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
                               MaxPool2d, ReLU, ScaledSigmoid, col2im, im2col,
                               softmax_cross_entropy)
+from conedrive.synth import synth_track_dataset
 from conedrive.tensor import Param
 from reference_twins import (conv_backward_reference, conv_forward_reference,
                              conv_weight_grad_reference, maxpool_backward_reference,
@@ -209,7 +211,7 @@ class TestConv2d:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(layers, "CONV_CHUNK_BYTES", chunk_budget(conv, x, grad, step))
-            mp.setattr(layers, "CONV_WORKERS", 2)
+            mp.setattr(workers, "WORKERS", 2)
             mp.setattr(layers, "im2col", counted)
             evaluated = conv.forward(x, train=False)
             out = conv.forward(x, train=True)
@@ -236,8 +238,8 @@ class TestConv2d:
         runs = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(layers, "CONV_CHUNK_BYTES", chunk_budget(conv, x, grad, step))
-            for workers in (1, 2, 3):
-                mp.setattr(layers, "CONV_WORKERS", workers)
+            for count in (1, 2, 3):
+                mp.setattr(workers, "WORKERS", count)
                 conv.weight.grad = conv.bias.grad = None
                 evaluated = conv.forward(x, train=False)
                 out = conv.forward(x, train=True)
@@ -248,7 +250,7 @@ class TestConv2d:
 
     def test_error_in_one_chunk_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(layers, "CONV_CHUNK_BYTES", 1)    # a chunk per frame
-        monkeypatch.setattr(layers, "CONV_WORKERS", 2)
+        monkeypatch.setattr(workers, "WORKERS", 2)
         conv = make_conv(2, 3, 3, 1)
         x = np.random.default_rng(0).standard_normal((5, 2, 6, 6))
         grad = np.random.default_rng(1).standard_normal((5, 3, 4, 4))
@@ -271,7 +273,7 @@ class TestConv2d:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
     def test_pool_workers_run_on_separate_cpus(self, monkeypatch):
-        monkeypatch.setattr(layers, "CONV_WORKERS", 2)
+        monkeypatch.setattr(workers, "WORKERS", 2)
         cpus = sorted(os.sched_getaffinity(0))
         both = threading.Barrier(2, timeout=60)
 
@@ -279,33 +281,46 @@ class TestConv2d:
             both.wait()                     # so each worker takes one call
             return os.sched_getaffinity(0)
 
-        pool = layers._conv_pool()
+        pool = workers._pool()
         found = [future.result() for future in [pool.submit(where) for _ in range(2)]]
         assert sorted(found, key=min) == [{cpus[0]}, {cpus[1]}]
         assert sorted(os.sched_getaffinity(0)) == cpus    # the caller stays unbound
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_lowers_after_the_pool_started(self, monkeypatch):
+    def test_forked_child_lowers_after_the_pool_started(self, monkeypatch, tmp_path):
         monkeypatch.setattr(layers, "CONV_CHUNK_BYTES", 1)
-        monkeypatch.setattr(layers, "CONV_WORKERS", 2)
+        monkeypatch.setattr(workers, "WORKERS", 2)
         conv = make_conv(2, 3, 3, 1)
         x = np.random.default_rng(0).standard_normal((4, 2, 6, 6))
-        want = conv.forward(x, train=False).tobytes()       # the pool is running
+        write_corpus(synth_track_dataset(10, image_size=16, seed=0), tmp_path)
+        rows = [(i, i) for i in range(10)]
+
+        def outputs():
+            """A pooled conv forward and a pooled frame decode, as bytes."""
+            pairs = load_pairs(rows, tmp_path / "telemetry.csv", tmp_path / "frames", 8)
+            return conv.forward(x, train=False).tobytes() + b"".join(
+                p.image.tobytes() for p in pairs)
+
+        want = outputs()                                    # the pool is running
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:
             try:
-                os.write(write_end, conv.forward(x, train=False).tobytes())
+                os.write(write_end, outputs())
             finally:
                 os._exit(0)
         os.close(write_end)
-        ready, _, _ = select.select([read_end], [], [], 60)
-        got = os.read(read_end, 2 * len(want)) if ready else None
-        if not ready:
+        got = b""
+        while select.select([read_end], [], [], 60)[0]:     # until the child exits
+            chunk = os.read(read_end, len(want))
+            if not chunk:
+                break
+            got += chunk
+        else:
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         os.close(read_end)
-        assert got == want, "the forked child's forward did not finish in 60 s"
+        assert got == want, "the forked child's outputs did not arrive in 60 s"
 
     def test_backward_requires_train_forward(self):
         conv = make_conv(1, 1, 3, 1)

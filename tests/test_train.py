@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conedrive import layers
+from conedrive import layers, workers
 from conedrive.checkpoint import load_checkpoint, save_checkpoint
 from conedrive.data import classification_arrays, regression_arrays
 from conedrive.errors import DivergenceError
@@ -165,10 +165,10 @@ class TestTrainLoop:
         runs = []
         # one frame per chunk; conv1 in chunks of 3, 3 and 2; the whole batch;
         # each on the calling thread and on two pool threads
-        for budget, workers in itertools.product((1, 3 * 75 * 14 * 14 * 4, 1 << 40),
-                                                 (1, 2)):
+        for budget, count in itertools.product((1, 3 * 75 * 14 * 14 * 4, 1 << 40),
+                                               (1, 2)):
             monkeypatch.setattr(layers, "CONV_CHUNK_BYTES", budget)
-            monkeypatch.setattr(layers, "CONV_WORKERS", workers)
+            monkeypatch.setattr(workers, "WORKERS", count)
             model = Model(make_discrete_model("2CL-2FC", input_hw=32), seed=3)
             result = train(model, train_data, val_data,
                            self.config(epochs=2, batch_size=8, seed=4))
