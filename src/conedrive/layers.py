@@ -13,6 +13,16 @@ each window's gradient to the first maximal element in row-major window
 order. The sliding-window argmax it replaced is kept as a slow twin in
 the tests' ``reference_twins`` module, which the property tests pin it to.
 
+Where a backward keeps the gradient under a boolean mask (ReLU, clamp and
+each window offset of max-pool) it calls ``_select``, which ANDs the
+gradient's bits with an all-ones or all-zeros word per element instead of
+branching per element as ``np.where`` does; the result equals
+``np.where(mask, grad, 0)`` bit for bit (a dropped NaN or -0.0 becomes
++0.0, a kept -0.0 stays -0.0). Batch-norm runs the same operations in the
+same order as its textbook form (Ioffe & Szegedy 2015), writing each
+elementwise step into a temporary it already owns; the plain form is kept
+as a test-only twin in ``reference_twins``.
+
 Convolution lowers its batch with im2col in chunks of as many frames as fit
 in ``CONV_CHUNK_BYTES`` of columns (at least one), one matmul per chunk, so
 the columns stay in cache. A batch of several chunks runs them as tasks on
@@ -265,6 +275,19 @@ class Conv2d(Layer):
         return dx
 
 
+def _select(mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``np.where(mask, grad, 0)`` bit for bit, without a branch per element.
+
+    ``0 - mask`` in the unsigned integer of ``grad``'s width is all ones
+    where the mask holds and zero elsewhere; ANDed with ``grad``'s bits it
+    keeps each kept element whole (a -0.0 or NaN included) and zeroes the
+    rest to +0.0. ``np.where`` branches per element, which a ReLU or
+    max-pool mask mispredicts often: on a random (64, 8, 30, 30) mask and
+    float32 gradient it took 3.5 ms against 0.5 ms on a 2-CPU Xeon."""
+    bits = np.dtype(f"u{grad.itemsize}")
+    return np.bitwise_and(np.subtract(0, mask, dtype=bits), grad.view(bits)).view(grad.dtype)
+
+
 def _pool_offsets(k: int, s: int, ho: int, wo: int) -> list[tuple]:
     """Index of the element at offset (di, dj) of every k x k window, for
     each offset in row-major order; each selects an (ho, wo) strided grid."""
@@ -280,10 +303,13 @@ class MaxPool2d(Layer):
     yields NaN. The backward walks the offsets in row-major order and sends
     each window's gradient to the first offset that equals the window's
     maximum (or, in a NaN window, that is NaN), so ties go to the first
-    maximum. ``maxpool_forward_reference``/``maxpool_backward_reference``
-    are the sliding-window argmax twins the property tests pin this to; the
-    two agree exactly, except that a tie between +0.0 and -0.0 may keep
-    either sign. The training cache holds the input itself, not a copy.
+    maximum. Each offset adds ``_select(routed, grad_out)`` into its slice
+    of the zeroed input gradient, which equals adding
+    ``np.where(routed, grad_out, 0)`` bit for bit.
+    ``maxpool_forward_reference``/``maxpool_backward_reference`` are the
+    sliding-window argmax twins the property tests pin this to; the two
+    agree exactly, except that a tie between +0.0 and -0.0 may keep either
+    sign. The training cache holds the input itself, not a copy.
     """
 
     kind = "maxpool"
@@ -320,10 +346,12 @@ class MaxPool2d(Layer):
             if nan_windows:
                 hit |= np.isnan(x[at])
             hit &= free
-            dx[at] += np.where(hit, grad_out, 0)
+            # ``+=``, not ``=``: overlapping windows add into one element,
+            # and a routed -0.0 must land as 0.0 + -0.0 == +0.0
+            dx[at] += _select(hit, grad_out)
             free &= ~hit
         # a window still unrouted has its (first) maximum at the last offset
-        dx[offsets[-1]] += np.where(free, grad_out, 0)
+        dx[offsets[-1]] += _select(free, grad_out)
         return dx
 
 
@@ -334,7 +362,10 @@ class BatchNorm2d(Layer):
     updates running statistics by an exponential moving average with weight
     ``momentum`` on the new batch; eval mode uses the running statistics.
     ``eps`` is added to the variance, so a degenerate batch (variance zero)
-    is permitted.
+    is permitted. Each elementwise step writes into a temporary the layer
+    already holds, in the order of ``batchnorm_forward_reference`` and
+    ``batchnorm_backward_reference``, the one-array-per-step twins the
+    property tests pin it to byte for byte.
     """
 
     kind = "batchnorm"
@@ -376,7 +407,6 @@ class BatchNorm2d(Layer):
         if train:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            m = x.shape[0] * x.shape[2] * x.shape[3]
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mean).astype(self.running_mean.dtype)
             self.running_var = ((1 - self.momentum) * self.running_var
@@ -385,9 +415,21 @@ class BatchNorm2d(Layer):
             mean = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-        out = self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
-        self._cache = (xhat, inv) if train else None
+        # out = gamma * ((x - mean) * inv) + beta, one step at a time;
+        # ``inv`` never holds a wider dtype than ``x - mean``
+        xhat = x - mean[None, :, None, None]
+        xhat *= inv[None, :, None, None]
+        gamma = self.gamma.value[None, :, None, None]
+        if train:
+            # the cache keeps xhat, and gamma may be wider than x's dtype
+            self._cache = (xhat, inv)
+            out = gamma * xhat
+        else:
+            # x - running_mean has at least the layer's dtype, which gamma
+            # shares, so the product fits in xhat
+            self._cache = None
+            out = np.multiply(gamma, xhat, out=xhat)
+        out += self.beta.value[None, :, None, None]
         return out
 
     def backward(self, grad_out):
@@ -396,8 +438,15 @@ class BatchNorm2d(Layer):
         self.beta.add_grad(grad_out.sum(axis=(0, 2, 3)))
         gx = grad_out * self.gamma.value[None, :, None, None]
         mean_gx = gx.mean(axis=(0, 2, 3), keepdims=True)
-        mean_gx_xhat = (gx * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        return inv[None, :, None, None] * (gx - mean_gx - xhat * mean_gx_xhat)
+        dx = gx * xhat
+        mean_gx_xhat = dx.mean(axis=(0, 2, 3), keepdims=True)
+        # dx = inv * (gx - mean_gx - xhat * mean_gx_xhat), one step at a
+        # time in ``dx``, whose dtype is the widest of all its terms
+        gx -= mean_gx
+        np.multiply(xhat, mean_gx_xhat, out=dx)
+        np.subtract(gx, dx, out=dx)
+        np.multiply(inv[None, :, None, None], dx, out=dx)
+        return dx
 
 
 class Linear(Layer):
@@ -455,6 +504,11 @@ class SoftmaxHead(Linear):
 
 
 class ReLU(Layer):
+    """max(x, 0); the backward keeps the gradient where x > 0.
+
+    The gradient is selected by ``_select``, equal bit for bit to
+    ``np.where(x > 0, grad_out, 0)``: 0 at x == 0 and where x is NaN."""
+
     kind = "relu"
 
     def forward(self, x, train):
@@ -463,7 +517,7 @@ class ReLU(Layer):
 
     def backward(self, grad_out):
         mask = self._need_cache()
-        return np.where(mask, grad_out, 0)
+        return _select(mask, grad_out)
 
 
 class Flatten(Layer):
@@ -508,7 +562,7 @@ class ClampScale(Layer):
 
     def backward(self, grad_out):
         mask = self._need_cache()
-        return np.where(mask, grad_out, 0)
+        return _select(mask, grad_out)
 
 
 class ScaledSigmoid(Layer):

@@ -3,7 +3,8 @@
 Each twin computes what its kernel computes the plain way, and a property
 test pins the kernel to it: ``Conv2d`` forward and backward to the
 whole-batch im2col lowering, its weight gradient to one ``tensordot``,
-``MaxPool2d`` to a sliding-window argmax, ``ppm.load_image``'s byte-first
+``MaxPool2d`` to a sliding-window argmax, ``BatchNorm2d`` to its textbook
+form with one fresh array per step, ``ppm.load_image``'s byte-first
 resample to the float bilinear resample, and ``data.pair_nearest`` to a
 full scan.
 """
@@ -69,6 +70,41 @@ def maxpool_backward_reference(x_shape: tuple, arg: np.ndarray, grad: np.ndarray
         contrib = np.where(arg == idx, grad, 0)
         dx[:, :, di : di + s * ho : s, dj : dj + s * wo : s] += contrib
     return dx
+
+
+def batchnorm_forward_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                                running_mean: np.ndarray, running_var: np.ndarray,
+                                train: bool, eps: float, momentum: float):
+    """Slow twin of ``BatchNorm2d.forward``: (output, running mean, running
+    variance, xhat, inv), each step a fresh array; the running statistics
+    come back unchanged in eval mode, and xhat and inv form the training
+    cache."""
+    if train:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean = ((1 - momentum) * running_mean
+                        + momentum * mean).astype(running_mean.dtype)
+        running_var = ((1 - momentum) * running_var
+                       + momentum * var).astype(running_var.dtype)
+    else:
+        mean = running_mean
+        var = running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    return out, running_mean, running_var, xhat, inv
+
+
+def batchnorm_backward_reference(grad_out: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                                 gamma: np.ndarray):
+    """Slow twin of ``BatchNorm2d.backward``: (dx, dgamma, dbeta) from the
+    cache of ``batchnorm_forward_reference``, each step a fresh array."""
+    dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    dbeta = grad_out.sum(axis=(0, 2, 3))
+    gx = grad_out * gamma[None, :, None, None]
+    mean_gx = gx.mean(axis=(0, 2, 3), keepdims=True)
+    mean_gx_xhat = (gx * xhat).mean(axis=(0, 2, 3), keepdims=True)
+    return inv[None, :, None, None] * (gx - mean_gx - xhat * mean_gx_xhat), dgamma, dbeta
 
 
 def bilinear_resize_reference(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -19,7 +19,8 @@ from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
                               softmax_cross_entropy)
 from conedrive.synth import synth_track_dataset
 from conedrive.tensor import Param
-from reference_twins import (conv_backward_reference, conv_forward_reference,
+from reference_twins import (batchnorm_backward_reference, batchnorm_forward_reference,
+                             conv_backward_reference, conv_forward_reference,
                              conv_weight_grad_reference, maxpool_backward_reference,
                              maxpool_forward_reference)
 
@@ -109,6 +110,69 @@ def chunked_conv_cases(draw):
     out_shape = (n, od, (h - k) // s + 1, (w - k) // s + 1)
     return (conv, x, rng.standard_normal(out_shape).astype(np.result_type(dtype, x_dtype)),
             draw(st.integers(1, n)))
+
+
+def laid_out(a, layout):
+    """``a``'s values in a view of the given memory layout: "C" order,
+    "transposed" (reversed axis order in memory), "strided" (every other
+    element of a larger array's last axis) or "reversed" (negative strides)."""
+    if layout == "transposed":
+        axes = tuple(reversed(range(a.ndim)))
+        return np.ascontiguousarray(a.transpose(axes)).transpose(axes)
+    if layout == "strided":
+        return np.repeat(a, 2, axis=-1)[..., ::2]
+    if layout == "reversed":
+        return np.ascontiguousarray(a[..., ::-1])[..., ::-1]
+    return a.copy()
+
+
+LAYOUTS = ("C", "transposed", "strided", "reversed")
+
+
+@st.composite
+def select_cases(draw):
+    """(mask, grad): a float16, float32 or float64 gradient of random bits
+    (so every NaN payload, infinities and subnormals occur), with a drawn
+    share of entries set to +-0.0, +-NaN, +-inf or +-the smallest
+    subnormal; the mask and the gradient each in a drawn memory layout."""
+    dtype = np.dtype(draw(st.sampled_from([np.float16, np.float32, np.float64])))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = int(np.prod(shape))
+    grad = np.frombuffer(rng.bytes(size * dtype.itemsize), dtype).reshape(shape).copy()
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny],
+                        dtype=dtype)
+    spots = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    grad[spots] = rng.choice(specials, size=int(spots.sum()))
+    mask = rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return (laid_out(mask, draw(st.sampled_from(LAYOUTS))),
+            laid_out(grad, draw(st.sampled_from(LAYOUTS))))
+
+
+@st.composite
+def batchnorm_cases(draw):
+    """(layer, x, grad_out, train): batch, channels and H/W 1-5, so a
+    channel may hold a single value (variance zero); the layer float32 or
+    float64 and its input float32 or float64 independently, x offset and
+    scaled per draw; random gamma, beta and running statistics."""
+    dtype, x_dtype = (draw(st.sampled_from([np.float32, np.float64])) for _ in range(2))
+    n, c, h, w = (draw(st.integers(1, 5)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bn = BatchNorm2d(c, dtype=dtype)
+    bn.gamma.value = rng.standard_normal(c).astype(dtype)
+    bn.beta.value = rng.standard_normal(c).astype(dtype)
+    bn.running_mean = rng.standard_normal(c).astype(dtype)
+    bn.running_var = rng.uniform(0.1, 3.0, c).astype(dtype)
+    scale, offset = draw(st.sampled_from([(1.0, 0.0), (1e-3, 5.0), (50.0, -20.0)]))
+    x = (rng.standard_normal((n, c, h, w)) * scale + offset).astype(x_dtype)
+    grad = rng.standard_normal(x.shape).astype(np.result_type(dtype, x_dtype))
+    return bn, x, grad, draw(st.booleans())
+
+
+def assert_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def chunk_budget(conv, x, grad_out, frames):
@@ -385,8 +449,11 @@ class TestMaxPool:
         np.testing.assert_array_equal(
             np.isnan(out), np.isnan(win[:, :, ::s, ::s]).any(axis=(4, 5)))
         grad = rng.standard_normal(want.shape).astype(x.dtype)
-        assert_same(pool.backward(grad),
-                    maxpool_backward_reference(x.shape, arg, grad, k, s))
+        spots = rng.random(grad.shape) < 0.2
+        grad[spots] = rng.choice([-0.0, np.nan, -np.inf], size=int(spots.sum()))
+        # bytes, not values: a routed -0.0 lands as 0.0 + -0.0 == +0.0
+        assert_bytes(pool.backward(grad),
+                     maxpool_backward_reference(x.shape, arg, grad, k, s))
 
 
 class TestBatchNorm:
@@ -429,6 +496,23 @@ class TestBatchNorm:
         assert np.isfinite(out).all()
         assert out[0, 0, 0, 0] == pytest.approx(0.0)
 
+    @given(batchnorm_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_twins(self, case):
+        bn, x, grad, train = case
+        want, mean, var, xhat, inv = batchnorm_forward_reference(
+            x, bn.gamma.value, bn.beta.value, bn.running_mean, bn.running_var, train,
+            bn.eps, bn.momentum)
+        assert_bytes(bn.forward(x, train), want)
+        assert_bytes(bn.running_mean, mean)
+        assert_bytes(bn.running_var, var)
+        if not train:
+            return
+        dx, dgamma, dbeta = batchnorm_backward_reference(grad, xhat, inv, bn.gamma.value)
+        assert_bytes(bn.backward(grad), dx)
+        assert_bytes(bn.gamma.grad, dgamma.astype(bn.gamma.value.dtype))
+        assert_bytes(bn.beta.grad, dbeta.astype(bn.beta.value.dtype))
+
     def test_eval_uses_running_stats(self):
         bn = self.make()
         rng = np.random.default_rng(2)
@@ -464,6 +548,18 @@ class TestLinear:
 
 
 class TestPointwise:
+    @given(select_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_select_is_where_bit_for_bit(self, case):
+        mask, grad = case
+        got, want = layers._select(mask, grad), np.where(mask, grad, 0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # the same memory layout (a length-1 axis has no meaningful stride),
+        # so reductions downstream sum in the same order
+        assert ([st for st, n in zip(got.strides, got.shape) if n > 1]
+                == [st for st, n in zip(want.strides, want.shape) if n > 1])
+        assert got.tobytes() == want.tobytes()
+
     def test_relu_values(self):
         out = ReLU().forward(np.array([-1.0, 0.0, 2.0]), train=False)
         np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])

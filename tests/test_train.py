@@ -13,6 +13,7 @@ from conedrive.synth import synth_track_dataset
 from conedrive.train import (GridResult, TrainConfig, grid_search, lr_at_epoch,
                              sgd_step, train, write_grid_table, write_history)
 from conedrive.zoo import make_discrete_model, make_realvalue_model
+from reference_twins import batchnorm_backward_reference, batchnorm_forward_reference
 
 
 class TestLrSchedule:
@@ -177,6 +178,43 @@ class TestTrainLoop:
                          [(name, value.tobytes())
                           for name, value in model.state_tensors()]))
         assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("task", ["discrete", "real"])
+    def test_elementwise_layers_train_as_their_twins(self, monkeypatch, task):
+        # the masked backwards of ReLU, clamp and max-pool as np.where, and
+        # batch-norm as its one-array-per-step twin, give the same run
+        train_data, val_data = small_sets(n=48, size=32, task=task)
+        model_spec = (make_discrete_model("2CL-2FC", input_hw=32) if task == "discrete"
+                      else make_realvalue_model("3CL-2FC", input_hw=32))
+        loss = "cross_entropy" if task == "discrete" else "smooth_l1"
+
+        def twin_forward(self, x, train):
+            out, self.running_mean, self.running_var, xhat, inv = (
+                batchnorm_forward_reference(x, self.gamma.value, self.beta.value,
+                                            self.running_mean, self.running_var,
+                                            train, self.eps, self.momentum))
+            self._cache = (xhat, inv) if train else None
+            return out
+
+        def twin_backward(self, grad_out):
+            dx, dgamma, dbeta = batchnorm_backward_reference(
+                grad_out, *self._need_cache(), self.gamma.value)
+            self.gamma.add_grad(dgamma)
+            self.beta.add_grad(dbeta)
+            return dx
+
+        def run():
+            model = Model(model_spec, seed=3)
+            result = train(model, train_data, val_data,
+                           self.config(epochs=2, batch_size=8, seed=4, loss=loss))
+            return ([(s.epoch, s.lr, s.train_loss, s.val_metric) for s in result.history],
+                    [(name, value.tobytes()) for name, value in model.state_tensors()])
+
+        fast = run()
+        monkeypatch.setattr(layers, "_select", lambda mask, grad: np.where(mask, grad, 0))
+        monkeypatch.setattr(layers.BatchNorm2d, "forward", twin_forward)
+        monkeypatch.setattr(layers.BatchNorm2d, "backward", twin_backward)
+        assert run() == fast
 
     def test_toy_cross_entropy_monotone_non_increasing(self):
         # two linearly separable points, full-batch descent at a small rate
