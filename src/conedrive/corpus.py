@@ -9,9 +9,9 @@ milliseconds. A dataset manifest pins split membership by
 ``load_pairs`` decodes a split's frames on the package's shared thread pool
 (``workers``), one contiguous run of rows per worker, and returns the pairs
 in row order, so its output is the same bytes at any worker count. The
-telemetry log is read on every call, but its parse is reused while the
-text is unchanged, so ``prep_corpus`` and each split's ``load_pairs`` share
-one parse.
+telemetry log is read on every call, but its parse and scaled records are
+reused while the text is unchanged, so ``prep_corpus`` and each split's
+``load_pairs`` share one parse and one scaling.
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ import numpy as np
 
 from . import workers
 from .data import (DatasetSplit, FramePair, MOTOR_SCALE, TELEMETRY_HEADER,
-                   pair_nearest, parse_telemetry, scale_records, scale_signals,
-                   split_60_20_20)
+                   pair_nearest, parse_telemetry, scale_records, split_60_20_20)
 from .errors import DataError
 from .ppm import load_image, to_u8, write_ppm
 
@@ -139,18 +138,20 @@ def read_manifest(path):
 @functools.lru_cache(maxsize=1)
 def _parse_text(text: str):
     records, skipped = parse_telemetry(text)
-    return tuple(records), tuple(skipped)
+    scaled, warnings = scale_records(records)
+    return tuple(scaled), tuple(skipped), warnings
 
 
 def _read_telemetry(path):
-    """``parse_telemetry`` of the file at ``path``. The file is read on every
-    call, but the parse of the last text read is reused while the text is
-    unchanged, so a pass over ``prep_corpus`` and each split's
-    ``load_pairs`` parses its log once. The records are frozen; the lists
-    returned are fresh."""
+    """(scaled records, skipped row numbers, clamp warnings) of the log at
+    ``path``: ``parse_telemetry`` then ``scale_records``. The file is read
+    on every call, but the result for the last text read is reused while
+    the text is unchanged, so a pass over ``prep_corpus`` and each split's
+    ``load_pairs`` parses and scales its log once. The records are a tuple
+    of frozen records; the skipped list returned is fresh."""
     with open(path) as fh:
-        records, skipped = _parse_text(fh.read())
-    return list(records), list(skipped)
+        records, skipped, warnings = _parse_text(fh.read())
+    return records, list(skipped), warnings
 
 
 def prep_corpus(telemetry_path, frames_dir, seed: int):
@@ -159,8 +160,7 @@ def prep_corpus(telemetry_path, frames_dir, seed: int):
     Returns (split, skipped row numbers, clamp warnings). Images are not
     loaded here; pairing needs timestamps only.
     """
-    records, skipped = _read_telemetry(telemetry_path)
-    records, warnings = scale_records(records)
+    records, skipped, warnings = _read_telemetry(telemetry_path)
     indexes, stamps = read_frames_index(frames_dir)
     pairs = pair_nearest(records, stamps)
     # map positional frame slots back to on-disk frame indexes
@@ -174,13 +174,13 @@ def load_pairs(membership_rows, telemetry_path, frames_dir,
                image_size: int = 256, crop=None) -> list[FramePair]:
     """Materialize manifest rows into FramePairs with images loaded.
 
-    The whole log is parsed, since a log row indexes its valid records, but
-    only the rows loaded are scaled. Every log row is checked before any
-    frame is read. The frames are then decoded in one contiguous part of
-    the rows per worker, through ``workers.run``; a frame that cannot be
-    decoded raises the error of the first such frame in row order, naming
-    its file."""
-    records, _ = _read_telemetry(telemetry_path)
+    The whole log is parsed and scaled (once per text, shared with
+    ``prep_corpus``), since a log row indexes its valid records. Every log
+    row is checked before any frame is read. The frames are then decoded in
+    one contiguous part of the rows per worker, through ``workers.run``; a
+    frame that cannot be decoded raises the error of the first such frame
+    in row order, naming its file."""
+    records, _, _ = _read_telemetry(telemetry_path)
     for log_row, _ in membership_rows:
         if not 0 <= log_row < len(records):
             raise DataError(f"manifest log row {log_row} outside telemetry log")
@@ -199,5 +199,5 @@ def load_pairs(membership_rows, telemetry_path, frames_dir,
     step = max(1, -(-len(paths) // workers.WORKERS))
     parts = [slice(a, a + step) for a in range(0, len(paths), step)]
     images = itertools.chain.from_iterable(workers.run(decode, parts))
-    return [FramePair(image, scale_signals(records[log_row])[0], log_row, frame_index)
+    return [FramePair(image, records[log_row], log_row, frame_index)
             for image, (log_row, frame_index) in zip(images, membership_rows)]

@@ -140,30 +140,35 @@ def scale_records(records):
 def pair_nearest(records, frame_timestamps) -> list[FramePair]:
     """Join each record to the frame whose timestamp is nearest.
 
-    Ties break toward the earlier frame. Both inputs must be non-empty and
-    sorted by time.
+    Ties break toward the earlier frame: on equal distances, and through
+    runs of duplicate or rounding-equal frame timestamps, the earliest frame
+    wins. Both inputs must be non-empty and sorted by time. One
+    ``searchsorted`` places every record; the per-record loop it replaced is
+    kept as ``pair_nearest_reference`` in the tests' ``reference_twins``.
     """
     ts = np.asarray(frame_timestamps, dtype=np.float64)
     if len(records) == 0 or ts.size == 0:
         raise DataError("pair_nearest needs non-empty records and frames")
     if np.any(np.diff(ts) < 0):
         raise DataError("frame timestamps must be sorted")
-    pairs = []
-    for row, record in enumerate(records):
-        pos = int(np.searchsorted(ts, record.timestamp))
-        best = None
-        for cand in (pos - 1, pos):
-            if 0 <= cand < ts.size:
-                dist = abs(ts[cand] - record.timestamp)
-                # strict < keeps the earlier frame on exact ties
-                if best is None or dist < best[0]:
-                    best = (dist, cand)
-        # ties (duplicate or rounding-equal timestamps): earliest frame wins
-        dist, first = best
-        while first > 0 and abs(ts[first - 1] - record.timestamp) == dist:
-            first -= 1
-        pairs.append(FramePair(None, record, row, first))
-    return pairs
+    t = np.array([record.timestamp for record in records], dtype=np.float64)
+    pos = np.searchsorted(ts, t)
+    before = np.maximum(pos - 1, 0)
+    after = np.minimum(pos, ts.size - 1)
+    # the frame after wins only when strictly nearer, or when none is before
+    take_after = (pos == 0) | ((pos < ts.size)
+                               & (np.abs(ts[after] - t) < np.abs(ts[before] - t)))
+    best = np.where(take_after, after, before)
+    dist = np.abs(ts[best] - t)
+    # the earliest of a run of duplicates of the chosen frame's timestamp
+    best = np.searchsorted(ts, ts[best])
+    # a distinct earlier timestamp at a rounding-equal distance is rare:
+    # walk those back one frame at a time
+    for i in np.flatnonzero((best > 0) & (np.abs(ts[best - 1] - t) == dist)):
+        while best[i] > 0 and abs(ts[best[i] - 1] - t[i]) == dist[i]:
+            best[i] -= 1
+    return [FramePair(None, record, row, int(first))
+            for row, (record, first) in enumerate(zip(records, best))]
 
 
 def split_60_20_20(pairs, seed: int) -> DatasetSplit:

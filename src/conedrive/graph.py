@@ -22,7 +22,7 @@ Specs serialize to a line-oriented text form used inside checkpoints::
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter_ns
 
 import numpy as np
@@ -210,7 +210,8 @@ class ModelSpec:
 @dataclass(frozen=True)
 class PlanStep:
     """One compiled node: its layer, where its inputs are read from, the value
-    slot it writes, and the batchless output shape inference promised."""
+    slot it writes, the batchless output shape inference promised, and the
+    slots no later step reads, which a forward drops once this step has run."""
 
     name: str
     layer: L.Layer
@@ -218,6 +219,7 @@ class PlanStep:
     slot: int
     shape: tuple[int, ...]
     multi_input: bool
+    spent: tuple[int, ...] = ()
 
 
 class Model:
@@ -225,11 +227,15 @@ class Model:
 
     The spec compiles once into ``plan``: graph inputs hold value slots
     0..k-1 in spec order, then each node in topological order the next one.
-    A single instance must not run concurrent training-mode forwards (the
-    per-layer caches are mutable); clones may run eval forwards in parallel.
-    Every convolution of every model hands its multi-chunk batches to the
-    package's one pool of ``workers.WORKERS`` threads, so clones forwarding
-    in parallel queue their chunks on the same threads and start no more.
+    A forward drops each node's value once its last reader has run (the
+    output's never), so a forward holds only the values still to be read.
+
+    An eval-mode forward writes nothing a result depends on: each layer
+    only clears its training cache. One instance may therefore run eval
+    forwards from several threads at once, each giving the bytes it gives
+    alone, as ``metrics.predict`` does with its batches. A training-mode
+    forward fills the per-layer caches its backward reads, so it must run
+    alone on its instance.
     """
 
     def __init__(self, spec: ModelSpec, seed: int = 0, dtype=DEFAULT_DTYPE):
@@ -253,7 +259,17 @@ class Model:
                                  tuple(self._slot[src] for src in node.inputs),
                                  self._slot[node.name], self.shapes[node.name],
                                  cls.multi_input))
-        self.plan = tuple(plan)
+        # the step after which no later one reads each slot; a node read by
+        # none (the output aside) is spent as soon as it is made
+        last = {}
+        for i, step in enumerate(plan):
+            last.update(dict.fromkeys(step.srcs + (step.slot,), i))
+        last.pop(self._slot[spec.output])
+        spent = {}
+        for slot, i in last.items():
+            spent.setdefault(i, []).append(slot)
+        self.plan = tuple(replace(step, spent=tuple(spent.get(i, ())))
+                          for i, step in enumerate(plan))
         self.output_node = next(n for n in self.order if n.name == spec.output)
         self.output_kind = self.output_node.layer.kind
 
@@ -331,6 +347,8 @@ class Model:
             values[step.slot] = out
             if capture is not None and step.name in capture:
                 capture[step.name] = out.copy()
+            for slot in step.spent:
+                values[slot] = None
         return values[self._slot[self.spec.output]]
 
     def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:

@@ -365,7 +365,10 @@ class BatchNorm2d(Layer):
     is permitted. Each elementwise step writes into a temporary the layer
     already holds, in the order of ``batchnorm_forward_reference`` and
     ``batchnorm_backward_reference``, the one-array-per-step twins the
-    property tests pin it to byte for byte.
+    property tests pin it to byte for byte. The training variance is the
+    mean square of the batch the forward centres anyway; the twin takes
+    ``x.var``, whose bits that equals because numpy's ``_var`` computes it
+    the same way, and the property test is the guard if numpy ever stops.
     """
 
     kind = "batchnorm"
@@ -404,20 +407,22 @@ class BatchNorm2d(Layer):
         self.running_var = tensors["running_var"].astype(self.running_var.dtype, copy=True)
 
     def forward(self, x, train):
+        mean = x.mean(axis=(0, 2, 3)) if train else self.running_mean
+        # out = gamma * ((x - mean) * inv) + beta, one step at a time;
+        # ``inv`` never holds a wider dtype than ``x - mean``
+        xhat = x - mean[None, :, None, None]
         if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # numpy's ``x.var`` is this very sequence (sum, divide, centre,
+            # square, sum, divide), so the variance of the batch centred
+            # above has its bits without summing and centring x again
+            var = np.square(xhat).mean(axis=(0, 2, 3))
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mean).astype(self.running_mean.dtype)
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var).astype(self.running_var.dtype)
         else:
-            mean = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        # out = gamma * ((x - mean) * inv) + beta, one step at a time;
-        # ``inv`` never holds a wider dtype than ``x - mean``
-        xhat = x - mean[None, :, None, None]
         xhat *= inv[None, :, None, None]
         gamma = self.gamma.value[None, :, None, None]
         if train:

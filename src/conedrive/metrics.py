@@ -1,11 +1,12 @@
 """Batched accuracy / mean-L1 evaluation, confusion matrices, and exports.
 
 Every multi-frame forward runs through ``predict``: eval mode, ``batch_size``
-frames at a time, in split order. Evaluation and the activation export walk
-full batches only (the trailing partial batch is dropped and counted). The
-primary accuracy figure is the mean of per-batch accuracies; the global
-trace/sum accuracy is also reported and coincides with it whenever every
-batch is full.
+frames at a time, each batch a part of ``workers.run``, so batches run on
+the worker pool side by side and come back in split order. Evaluation and
+the activation export walk full batches only (the trailing partial batch is
+dropped and counted). The primary accuracy figure is the mean of per-batch
+accuracies; the global trace/sum accuracy is also reported and coincides
+with it whenever every batch is full.
 
 Reports are bit-reproducible at a fixed batch size only: the same frame
 forwarded alone and inside a larger batch can differ in the last float32
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .data import BRAKE_THROTTLE_CHANNELS
 from .errors import GraphError
 from .graph import Model
@@ -92,14 +94,22 @@ def task_of(model: Model) -> str:
 def predict(model: Model, inputs: dict[str, np.ndarray], batch_size: int,
             node: str | None = None) -> np.ndarray:
     """Eval-mode outputs of ``node`` (default: the model's) for every frame,
-    forwarded ``batch_size`` frames at a time; the last batch may be partial."""
+    forwarded ``batch_size`` frames at a time; the last batch may be partial.
+
+    Each batch is forwarded whole, as one part of ``workers.run``, so the
+    batches of a split run on the pool threads at once (a batch's
+    convolutions then run their chunks on its own thread) and the result is
+    the same bytes at any worker count."""
     node = node or model.spec.output
-    capture, outs = {node: None}, []
-    for start in range(0, len(next(iter(inputs.values()))), batch_size):
-        batch = {name: arr[start:start + batch_size] for name, arr in inputs.items()}
-        model.forward(batch, mode="eval", capture=capture)
-        outs.append(capture[node])
-    return np.concatenate(outs)
+
+    def forward(start):
+        capture = {node: None}
+        model.forward({name: arr[start:start + batch_size]
+                       for name, arr in inputs.items()}, mode="eval", capture=capture)
+        return capture[node]
+
+    frames = len(next(iter(inputs.values())))
+    return np.concatenate(workers.run(forward, list(range(0, frames, batch_size))))
 
 
 def count_full_batches(frames: int, batch_size: int, split: str) -> int:

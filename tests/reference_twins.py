@@ -5,8 +5,8 @@ test pins the kernel to it: ``Conv2d`` forward and backward to the
 whole-batch im2col lowering, its weight gradient to one ``tensordot``,
 ``MaxPool2d`` to a sliding-window argmax, ``BatchNorm2d`` to its textbook
 form with one fresh array per step, ``ppm.load_image``'s byte-first
-resample to the float bilinear resample, and ``data.pair_nearest`` to a
-full scan.
+resample to the float bilinear resample, and ``data.pair_nearest`` to its
+per-record search loop and to a full scan.
 """
 import numpy as np
 
@@ -127,6 +127,28 @@ def bilinear_resize_reference(image: np.ndarray, out_h: int, out_w: int) -> np.n
     top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
     bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
     return top * (1 - wy) + bot * wy
+
+
+def pair_nearest_reference(records, frame_timestamps) -> list[int]:
+    """Slow twin of ``pair_nearest``: frame index per record, one
+    ``searchsorted`` per record, then a walk back over earlier frames at the
+    same distance, so ties go to the earliest frame."""
+    ts = np.asarray(frame_timestamps, dtype=np.float64)
+    out = []
+    for record in records:
+        pos = int(np.searchsorted(ts, record.timestamp))
+        best = None
+        for cand in (pos - 1, pos):
+            if 0 <= cand < ts.size:
+                dist = abs(ts[cand] - record.timestamp)
+                # strict < keeps the earlier frame on exact ties
+                if best is None or dist < best[0]:
+                    best = (dist, cand)
+        dist, first = best
+        while first > 0 and abs(ts[first - 1] - record.timestamp) == dist:
+            first -= 1
+        out.append(first)
+    return out
 
 
 def pair_nearest_bruteforce(records, frame_timestamps) -> list[int]:

@@ -99,20 +99,27 @@ class TestCorpusFormats:
             parses.append(text)
             return parse_telemetry(text)
 
+        def scaled(records):
+            scalings.append(len(records))
+            return scale_records(records)
+
+        scalings = []
         monkeypatch.setattr(corpus, "parse_telemetry", counted)
+        monkeypatch.setattr(corpus, "scale_records", scaled)
         corpus._parse_text.cache_clear()        # other tests parsed this text
         split, skipped, _ = prep_corpus(telemetry, frames, seed=0)
         skipped.append(99)                      # a caller's list is its own
         for pairs in (split.train, split.validation, split.test):
-            corpus.load_pairs([(p.log_row, p.frame_index) for p in pairs],
-                              telemetry, frames, 8)
-        assert len(parses) == 1
+            loaded = corpus.load_pairs([(p.log_row, p.frame_index) for p in pairs],
+                                       telemetry, frames, 8)
+            assert [p.record for p in loaded] == [p.record for p in pairs]
+        assert len(parses) == 1 and len(scalings) == 1
         assert prep_corpus(telemetry, frames, seed=0)[1] == []
         lines = telemetry.read_text().splitlines()
         lines[3] = "not,a,row"                  # later log rows move up one
         telemetry.write_text("\n".join(lines) + "\n")
         (pair,) = corpus.load_pairs([(2, 2)], telemetry, frames, 8)
-        assert len(parses) == 2
+        assert len(parses) == 2 and len(scalings) == 2
         records, _ = scale_records(parse_telemetry(telemetry.read_text())[0])
         assert pair.record == records[2]
 

@@ -1,7 +1,7 @@
 """Dataset pipeline: parsing, scaling, pairing, splits, bins, augmentation."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedrive.data import (FramePair, SteeringClass, TelemetryRecord,
@@ -10,7 +10,7 @@ from conedrive.data import (FramePair, SteeringClass, TelemetryRecord,
                             pair_nearest, parse_telemetry, regression_arrays,
                             scale_signals, shift_augment, split_60_20_20)
 from conedrive.errors import DataError
-from reference_twins import pair_nearest_bruteforce
+from reference_twins import pair_nearest_bruteforce, pair_nearest_reference
 
 HEADER = "timestamp,steering,brake,throttle,left_motor_speed,right_motor_speed"
 
@@ -118,6 +118,26 @@ class TestPairNearest:
         frames = sorted(frame_ts)
         got = [p.frame_index for p in pair_nearest(recs, frames)]
         assert got == pair_nearest_bruteforce(recs, frames)
+
+    # timestamps on a half-unit grid, so records sit on frames, between
+    # duplicate frames and midway between neighbours; the 1e17 examples
+    # put distinct frames at rounding-equal distances
+    @given(st.lists(st.integers(-4, 40).map(lambda v: v / 2), min_size=1, max_size=30),
+           st.lists(st.integers(-4, 40).map(lambda v: v / 2), min_size=1, max_size=30))
+    @example([1e17], [1.0, 2.0, 2.0, 3.0])
+    @example([1e17, 1e17 + 16], [1.0, 2.0, 1e17 + 16, 1e17 + 16])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_record_loop_on_ties(self, rec_ts, frame_ts):
+        recs = [record(ts=t) for t in sorted(rec_ts)]
+        frames = sorted(frame_ts)
+        got = [p.frame_index for p in pair_nearest(recs, frames)]
+        assert got == pair_nearest_reference(recs, frames)
+        assert [p.log_row for p in pair_nearest(recs, frames)] == list(range(len(recs)))
+
+    def test_rounding_equal_distances_take_the_earliest_frame(self):
+        # 1e17 - 1, 1e17 - 2 and 1e17 - 3 all round to 1e17
+        pairs = pair_nearest([record(ts=1e17)], [1.0, 2.0, 2.0, 3.0])
+        assert pairs[0].frame_index == 0
 
 
 class TestSplit:

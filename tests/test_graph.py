@@ -1,4 +1,6 @@
 """Model graphs: validation, shape inference, the zoo, and execution."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,28 @@ class TestForward:
         x = np.random.default_rng(0).standard_normal((2, 1, 5, 5)).astype(np.float32)
         np.testing.assert_array_equal(model_a.forward({"image": x}, mode="eval"),
                                       model_b.forward({"image": x}, mode="eval"))
+
+    def test_forward_drops_values_no_later_step_reads(self):
+        """When the last step runs, of the values before it only its own
+        input is still held; the output is returned."""
+        model = Model(tiny_dag(), seed=0)
+        made, held = {}, []
+        for node in model.order:
+            layer = model.layers[node.name]
+
+            def recorded(x, train, name=node.name, forward=layer.forward):
+                if name == "out":
+                    held.extend(n for n, ref in made.items() if ref() is not None)
+                result = forward(x, train)
+                made[name] = weakref.ref(result)
+                return result
+
+            layer.forward = recorded
+        x = np.random.default_rng(0).standard_normal((2, 1, 5, 5)).astype(np.float32)
+        capture = {"a": None}
+        out = model.forward({"image": x}, mode="eval", capture=capture)
+        assert held == ["join"]
+        assert made["out"]() is out and capture["a"].shape == (2, 3)
 
 
 class TestBackward:

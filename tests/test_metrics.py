@@ -1,7 +1,11 @@
 """Evaluation metrics, the confusion identity, and activation exports."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from conedrive import layers, workers
 from conedrive.data import (brake_throttle_arrays, classification_arrays,
                             discretize_steering, regression_arrays)
 from conedrive.errors import GraphError
@@ -11,7 +15,7 @@ from conedrive.metrics import (ConfusionMatrix, default_activation_layer,
                                export_activations, predict)
 from conedrive.synth import synth_track_dataset
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
-                           make_realvalue_model)
+                           make_realvalue_model, zoo_specs)
 
 
 def rigged_classifier(bias_class=2, input_hw=16):
@@ -126,7 +130,74 @@ class TestPredict:
         np.testing.assert_array_equal(predict(model, inputs, 8), np.concatenate(outs))
         np.testing.assert_array_equal(predict(model, inputs, 8, node="fc1_relu"),
                                       np.concatenate(hidden))
-        assert sizes == [8, 8, 7] * 2
+        # the batches run on the pool side by side, so in no fixed order
+        assert sorted(sizes) == sorted([8, 8, 7] * 2)
+
+    @pytest.mark.parametrize("name", sorted(zoo_specs(16)))
+    def test_same_bytes_at_any_worker_count(self, monkeypatch, name):
+        """Every zoo head, over 1, 2 and 3 batches with a partial last one,
+        at its output and at an inner node; one frame per convolution chunk,
+        so every batch's convolutions call ``workers.run`` from the pool."""
+        model_spec = zoo_specs(16)[name]
+        model = Model(model_spec, seed=1)
+        inner = model.order[len(model.order) // 2].name
+        rng = np.random.default_rng(2)
+        frames = 2 * 5 + 2          # three batches of 5, the last partial
+        inputs = {n: rng.uniform(0, 256 if n == "motor" else 1, (frames,) + shape
+                                 ).astype(np.float32)
+                  for n, shape in model_spec.inputs}
+        monkeypatch.setattr(layers, "CONV_CHUNK_BYTES", 1)
+        for batches in (1, 2, 3):
+            sub = {n: arr[:5 * (batches - 1) + 2] for n, arr in inputs.items()}
+            want = {}
+            for count in (1, 2, 3):
+                monkeypatch.setattr(workers, "WORKERS", count)
+                for node in (None, inner):
+                    got = predict(model, sub, 5, node=node)
+                    assert got.shape[0] == 5 * (batches - 1) + 2
+                    if count == 1:
+                        want[node] = got
+                    else:
+                        assert got.tobytes() == want[node].tobytes(), (count, node)
+
+    def test_one_instance_forwards_from_several_threads(self):
+        """Eval forwards of one model on several threads at once give the
+        bytes each gives alone."""
+        model = Model(make_brake_throttle_model(input_hw=32), seed=3)
+        rng = np.random.default_rng(4)
+        batches = [{"image": rng.random((4, 3, 32, 32), dtype=np.float32),
+                    "motor": rng.uniform(0, 256, (4, 2)).astype(np.float32)}
+                   for _ in range(4)]
+
+        def forward(batch):
+            capture = {"fc1_relu": None}
+            return model.forward(batch, mode="eval", capture=capture), capture["fc1_relu"]
+
+        want = [forward(batch) for batch in batches]
+        start = threading.Barrier(len(batches), timeout=30)
+        got = [[] for _ in batches]
+
+        def call(i):
+            start.wait()
+            for _ in range(10):
+                got[i].append(forward(batches[i]))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        for (out, hidden), runs in zip(want, got):
+            assert len(runs) == 10
+            for run_out, run_hidden in runs:
+                assert run_out.tobytes() == out.tobytes()
+                assert run_hidden.tobytes() == hidden.tobytes()
 
 
 class TestConfusionIdentity:

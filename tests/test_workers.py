@@ -1,4 +1,6 @@
-"""The shared worker pool: result order, error order and concurrent callers."""
+"""The shared worker pool: result order, error order, concurrent callers
+and nested calls."""
+import os
 import sys
 import threading
 import time
@@ -68,3 +70,52 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
             assert len(ran_on) <= count
     finally:
         sys.setswitchinterval(old)
+
+
+def _nested_run():
+    """A two-part ``run`` whose tasks each ``run`` three parts; each inner
+    part records the thread it ran on beside the outer part's."""
+    def outer(a):
+        here = threading.get_ident()
+        return workers.run(lambda b: (a, b, threading.get_ident() == here), [0, 1, 2])
+
+    return workers.run(outer, [0, 1])
+
+
+def _within(seconds, fn):
+    """``fn()``, run on a thread that may take ``seconds`` to return."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "the call did not return: a run waited on the pool"
+    return out[0]
+
+
+INLINE = [[(a, b, True) for b in range(3)] for a in range(2)]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_nested_run_runs_inline_on_the_pool_thread(monkeypatch, count):
+    """An inner ``run`` on a pool thread runs its parts in order there, so
+    it gives what ``WORKERS`` = 1 gives and never waits on the pool."""
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    assert _nested_run() == INLINE
+    monkeypatch.setattr(workers, "WORKERS", count)
+    for _ in range(5):
+        assert _within(20, _nested_run) == INLINE
+
+
+def test_nested_run_is_inline_where_threads_cannot_be_bound(monkeypatch):
+    """The pool marks its threads where ``os.sched_setaffinity`` is missing
+    too."""
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(workers, "WORKERS", 2)
+    # the next run makes a pool of its own; the shared one comes back after
+    monkeypatch.setattr(workers, "_executor", None)
+    monkeypatch.setattr(workers, "_owner", None)
+    try:
+        assert _within(20, _nested_run) == INLINE
+    finally:
+        if workers._executor is not None:
+            workers._executor.shutdown(wait=False)
