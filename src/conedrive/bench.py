@@ -98,6 +98,8 @@ def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,
     end-to-end stats."""
     if iters < 100:
         raise ValueError(f"iters must be >= 100, got {iters}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     rng = np.random.default_rng(seed)
     inputs = {
         name: rng.random((1,) + shape, dtype=np.float32)

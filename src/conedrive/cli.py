@@ -21,8 +21,9 @@ frames, so a --checkpoint of another size is a usage error. ``train
 --resume`` and ``bench --checkpoint`` refuse any --arch, and a --task or
 --image-size that disagrees with the checkpoint. A flag that does not apply
 where it is given (--telemetry with --synth, say) is a usage error naming
-the flag, reported before any frame is synthesized or decoded. So is a
---synth N below ``synth.MIN_FRAMES``, refused while the flags are parsed.
+the flag, reported before any frame is synthesized or decoded. So are a
+--synth N below ``synth.MIN_FRAMES`` and a negative render --limit, refused
+while the flags are parsed.
 """
 from __future__ import annotations
 
@@ -102,6 +103,18 @@ def _parse_synth(text):
     if n is None or n < MIN_FRAMES:
         raise argparse.ArgumentTypeError(
             f"a synthetic dataset has at least {MIN_FRAMES} frames, got {text!r}")
+    return n
+
+
+def _parse_limit(text):
+    """--limit N: render the first N pairs, all of them when N is 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"a limit is a frame count >= 0 (0 renders all), got {text!r}")
     return n
 
 
@@ -432,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "eval", cmd_eval, "evaluate a checkpoint on a split")
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--batch-size", type=int, default=64)
 
     p = _command(sub, "gridsearch", cmd_gridsearch, "filter/stride grid over full runs")
@@ -461,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--checkpoint", help="render this model's predictions too; "
                                         "it must take 256x256 frames")
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--limit", type=int, default=0, help="render first N pairs only")
+    p.add_argument("--split", choices=SPLITS, default="test")
+    p.add_argument("--limit", type=_parse_limit, default=0,
+                   help="render first N pairs only (0: all)")
 
     p = _command(sub, "bench", cmd_bench, "forward-pass latency report")
     p.add_argument("--task", choices=TASKS, help="default real")
@@ -476,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "activations", cmd_activations, "export hidden-FC activations")
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--layer", help="node name; default: last hidden FC ReLU")
     p.add_argument("--batch-size", type=int, default=64)
     return parser

@@ -37,8 +37,7 @@ class ConfusionMatrix:
     )
 
     def add(self, true_cls: np.ndarray, pred_cls: np.ndarray) -> None:
-        for t, p in zip(true_cls, pred_cls):
-            self.counts[t - 1, p - 1] += 1
+        np.add.at(self.counts, (true_cls - 1, pred_cls - 1), 1)
 
     @property
     def total(self) -> int:
@@ -115,9 +114,12 @@ def predict(model: Model, inputs: dict[str, np.ndarray], batch_size: int,
 def count_full_batches(frames: int, batch_size: int, split: str) -> int:
     """Full batches of ``batch_size`` in ``split``, a split of ``frames``.
 
-    A split with none raises a plain ValueError: no input is malformed, the
-    batch size does not fit the data, so the CLI reports a usage error.
+    A batch size below 1, or a split with no full batch, raises a plain
+    ValueError: no input is malformed, the batch size does not fit the data,
+    so the CLI reports a usage error.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if frames < batch_size:
         raise ValueError(f"{split} of {frames} frames yields no full batch "
                          f"of {batch_size}")

@@ -35,8 +35,8 @@ class TrainConfig:
     loss: str = "cross_entropy"
 
     def __post_init__(self):
-        if self.initial_lr <= 0:
-            raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
+        if not 0 < self.initial_lr < np.inf:
+            raise ValueError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if self.batch_size < 1:

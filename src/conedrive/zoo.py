@@ -137,17 +137,6 @@ def make_brake_throttle_model(input_hw: int = 256) -> ModelSpec:
     return _model_spec(nodes, input_hw, ("motor", (2,)))
 
 
-def zoo_specs(input_hw: int = 256):
-    """Every named architecture at the given input size, for sweep tests."""
-    out = {}
-    for name in DISCRETE_NAMES:
-        out[f"discrete/{name}"] = make_discrete_model(name, input_hw)
-    for name in REALVALUE_NAMES:
-        out[f"real/{name}"] = make_realvalue_model(name, input_hw=input_hw)
-    out["brake_throttle"] = make_brake_throttle_model(input_hw)
-    return out
-
-
 def expand_double_compressed(pair, n_conv: int = 4) -> list[int]:
     """Expand a compressed (a, b) configuration: first half a, second half b.
 

@@ -16,17 +16,17 @@ from conedrive.data import (FramePair, TelemetryRecord, build_mixed_set,
                             pair_nearest, regression_arrays, shift_augment,
                             split_60_20_20)
 from conedrive.errors import CheckpointError, GraphError
-from conedrive.gradcheck import grad_check_layer, grad_check_loss, grad_check_model
-from conedrive.graph import Model
-from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Linear, MaxPool2d,
-                              ReLU, ScaledSigmoid, smooth_l1, softmax_cross_entropy)
+from conedrive.gradcheck import grad_check_model
+from conedrive.graph import Model, spec
+from conedrive.layers import Conv2d, Linear, smooth_l1, softmax_cross_entropy
 from conedrive.metrics import ConfusionMatrix, eval_regression
 from conedrive.overlay import (ACTUAL_COLOR, BAR_FULL_W, BAR_ROWS, BAR_X0,
                                DIAL_CENTER, NEEDLE_LEN, render_overlay)
 from conedrive.synth import synth_track_dataset
 from conedrive.train import TrainConfig, lr_at_epoch, train
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
-                           make_realvalue_model, zoo_specs)
+                           make_realvalue_model)
+from zoo_models import check_layer, check_loss, zoo_specs
 
 SEEDS = range(10)
 
@@ -42,28 +42,31 @@ def test_c01_gradient_correctness():
     t0 = time.time()
     per_layer_ok = True
     for seed in SEEDS:
+        # each layer is checked as a model of one node; the weights that
+        # conv and linear draw from ``rng`` are loaded into it
         rng = np.random.default_rng(seed)
         checks = [
-            (Conv2d(2, 3, 3, 1, rng, np.float64),
+            (spec("conv", out_depth=3, kernel=3, stride=1),
+             Conv2d(2, 3, 3, 1, rng, np.float64).state(),
              rng.standard_normal((1, 2, 8, 8))),
-            (MaxPool2d(2, 2), rng.standard_normal((2, 2, 6, 6))),
-            (BatchNorm2d(3, dtype=np.float64),
-             rng.standard_normal((4, 3, 4, 4))),
-            (Linear(4, 3, rng, np.float64), rng.standard_normal((3, 4))),
-            (ReLU(), rng.standard_normal((3, 5)) + np.sign(
+            (spec("maxpool", window=2, stride=2), (), rng.standard_normal((2, 2, 6, 6))),
+            (spec("batchnorm"), (), rng.standard_normal((4, 3, 4, 4))),
+            (spec("linear", out_features=3), Linear(4, 3, rng, np.float64).state(),
+             rng.standard_normal((3, 4))),
+            (spec("relu"), (), rng.standard_normal((3, 5)) + np.sign(
                 rng.standard_normal((3, 5))) * 0.2),
-            (ClampScale(-90.0, 90.0), rng.uniform(-80, 80, (3, 4))),
-            (ScaledSigmoid(256.0), rng.standard_normal((3, 2)) * 3),
+            (spec("clamp_scale", lo=-90.0, hi=90.0), (), rng.uniform(-80, 80, (3, 4))),
+            (spec("scaled_sigmoid", scale=256.0), (), rng.standard_normal((3, 2)) * 3),
         ]
-        for layer, x in checks:
-            per_layer_ok &= grad_check_layer(layer, x) <= 1e-5
+        for layer, state, x in checks:
+            per_layer_ok &= check_layer(layer, x, state) <= 1e-5
         classes = rng.integers(1, 4, 3)
-        per_layer_ok &= grad_check_loss(
+        per_layer_ok &= check_loss(
             lambda v: softmax_cross_entropy(v, classes),
             rng.normal(0, 2, (3, 3))) <= 1e-5
         target = rng.normal(0, 3, (3, 2))
         pred = target + np.where(rng.random((3, 2)) < 0.5, 0.4, 1.6)
-        per_layer_ok &= grad_check_loss(
+        per_layer_ok &= check_loss(
             lambda v: smooth_l1(v, target), pred) <= 1e-5
 
     end_to_end_ok = True

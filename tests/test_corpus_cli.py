@@ -630,6 +630,49 @@ class TestCli:
         assert code == EXIT_USAGE
         assert "yields no full batch of 64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["train", "eval", "activations"])
+    def test_batch_size_below_one_is_a_usage_error(self, tmp_path, capsys, command,
+                                                   size):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
+        extra = (["--task", "real", "--image-size", "16"] if command == "train"
+                 else ["--checkpoint", str(ckpt)])
+        code = main([command, "--synth", "40", "--batch-size", size, *extra,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert f"batch_size must be >= 1, got {size}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_a_usage_error(self, tmp_path, capsys, lr):
+        code = main(["train", "--synth", "40", "--task", "real", "--image-size", "16",
+                     "--epochs", "1", "--batch-size", "4", "--lr", lr,
+                     "--out", str(tmp_path / "t")])
+        assert code == EXIT_USAGE
+        assert f"initial_lr must be finite and > 0, got {lr}" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "model.ckpt").exists()
+
+    def test_negative_warmup_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = main(["bench", "--task", "real", "--image-size", "16", "--iters", "100",
+                     "--warmup", "-5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "warmup must be >= 0, got -5" in capsys.readouterr().err
+        assert not (out / "latency.txt").exists()
+
+    def test_negative_render_limit_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--synth", "20", "--split", "test", "--limit", "-2",
+                  "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "got '-2'" in capsys.readouterr().err
+        assert not out.exists()
+        # 0 still renders every frame of the split
+        assert main(["render", "--synth", "20", "--split", "test", "--limit", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(list((out / "sim").iterdir())) == 4
+
     @pytest.mark.parametrize("flag", ["--manifest", "--telemetry", "--frames"])
     def test_drive_flag_with_synth_is_a_usage_error(self, tmp_path, capsys, flag):
         code = main(["train", "--synth", "40", flag, str(tmp_path / "absent"),

@@ -1,6 +1,7 @@
 """Finite-difference verification of every layer primitive's backward pass.
 
-float64 layers, central differences, relative error
+Each layer runs as a float64 model of one node (``zoo_models.check_layer``),
+checked by central differences with relative error
 |analytic - numeric| / max(1, |analytic| + |numeric|). Inputs for kinked
 activations (ReLU, clamp) are kept away from their kinks; everything else
 uses plain random tensors.
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from conedrive.errors import NumericError
-from conedrive.gradcheck import grad_check_layer, grad_check_loss
-from conedrive.layers import (BatchNorm2d, ClampScale, Conv2d, Flatten, Linear,
-                              MaxPool2d, ReLU, ScaledSigmoid)
+from conedrive.gradcheck import grad_check_model
+from conedrive.graph import spec
+from conedrive.layers import BatchNorm2d, Conv2d, Linear
+from zoo_models import check_layer, check_loss, one_node_model
 
 SEEDS = range(10)
 TOL = 1e-5
@@ -25,36 +27,36 @@ def rng(seed):
 def test_linear(seed):
     layer = Linear(4, 3, rng(seed), np.float64)
     x = rng(seed + 50).standard_normal((3, 4))
-    assert grad_check_layer(layer, x) < 1e-6
+    assert check_layer(spec("linear", out_features=3), x, layer.state()) < 1e-6
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_relu_away_from_kink(seed):
-    layer = ReLU()
     x = rng(seed).standard_normal((3, 5))
     x = np.where(np.abs(x) < 0.1, x + 0.2, x)  # bound away from 0
-    assert grad_check_layer(layer, x) < 1e-6
+    assert check_layer(spec("relu"), x) < 1e-6
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conv2d(seed):
     layer = Conv2d(2, 3, 3, 1, rng(seed), np.float64)
     x = rng(seed + 50).standard_normal((1, 2, 8, 8))
-    assert grad_check_layer(layer, x) < TOL
+    assert check_layer(spec("conv", out_depth=3, kernel=3, stride=1), x,
+                       layer.state()) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conv2d_strided(seed):
     layer = Conv2d(2, 2, 3, 2, rng(seed), np.float64)
     x = rng(seed + 50).standard_normal((2, 2, 7, 7))
-    assert grad_check_layer(layer, x) < TOL
+    assert check_layer(spec("conv", out_depth=2, kernel=3, stride=2), x,
+                       layer.state()) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_maxpool(seed):
-    layer = MaxPool2d(2, 2)
     x = rng(seed).standard_normal((2, 2, 6, 6))
-    assert grad_check_layer(layer, x) < TOL
+    assert check_layer(spec("maxpool", window=2, stride=2), x) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -63,40 +65,38 @@ def test_batchnorm_train_mode(seed):
     layer.gamma.value = rng(seed).uniform(0.5, 1.5, 3)
     layer.beta.value = rng(seed + 1).standard_normal(3)
     x = rng(seed + 50).standard_normal((4, 3, 4, 4))
-    assert grad_check_layer(layer, x) < TOL
+    assert check_layer(spec("batchnorm"), x, layer.state()) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_clamp_scale_away_from_bounds(seed):
-    layer = ClampScale(-90.0, 90.0)
     x = rng(seed).uniform(-200, 200, (3, 4))
     x = np.where(np.abs(np.abs(x) - 90.0) < 0.5, x * 0.5, x)
-    assert grad_check_layer(layer, x) < 1e-6
+    assert check_layer(spec("clamp_scale", lo=-90.0, hi=90.0), x) < 1e-6
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scaled_sigmoid(seed):
-    layer = ScaledSigmoid(256.0)
     x = rng(seed).standard_normal((3, 2)) * 3.0
-    assert grad_check_layer(layer, x) < TOL
+    assert check_layer(spec("scaled_sigmoid", scale=256.0), x) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_flatten(seed):
-    layer = Flatten()
     x = rng(seed).standard_normal((2, 2, 3, 3))
-    assert grad_check_layer(layer, x) < 1e-6
+    assert check_layer(spec("flatten"), x) < 1e-6
 
 
 def test_h_outside_range_rejected():
-    layer = Linear(2, 2, rng(0), np.float64)
+    model = one_node_model(spec("linear", out_features=2), (2,))
     with pytest.raises(ValueError, match="outside"):
-        grad_check_layer(layer, rng(1).standard_normal((1, 2)), h=1e-2)
+        grad_check_model(model, {"x": rng(1).standard_normal((1, 2))},
+                         lambda out: (float(out.sum()), np.ones_like(out)), h=1e-2)
 
 
 def test_nonfinite_reported_with_coordinate():
     with pytest.raises(NumericError, match="input"):
-        grad_check_loss(
+        check_loss(
             lambda x: (float(x.sum()), np.full_like(x, np.nan)),
             np.zeros((2, 2)),
         )

@@ -10,7 +10,8 @@ from conedrive.graph import TEXT_HEADER, LayerSpec, Model, ModelSpec, NodeSpec, 
 from conedrive.layers import LAYER_KINDS, smooth_l1, softmax_cross_entropy
 from conedrive.zoo import (DISCRETE_NAMES, REALVALUE_NAMES, expand_double_compressed,
                            make_brake_throttle_model, make_discrete_model,
-                           make_realvalue_model, zoo_specs)
+                           make_realvalue_model)
+from zoo_models import zoo_specs
 
 
 def tiny_dag():

@@ -15,7 +15,8 @@ from conedrive.metrics import (ConfusionMatrix, default_activation_layer,
                                export_activations, predict)
 from conedrive.synth import synth_track_dataset
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
-                           make_realvalue_model, zoo_specs)
+                           make_realvalue_model)
+from zoo_models import zoo_specs
 
 
 def rigged_classifier(bias_class=2, input_hw=16):

@@ -56,6 +56,8 @@ class TestTrainConfig:
         {"decay": 1.5},
         {"batch_size": 0},
         {"loss": "mse"},
+        {"initial_lr": float("nan")},
+        {"initial_lr": float("inf")},
     ])
     def test_invariants_enforced(self, kwargs):
         with pytest.raises(ValueError):
