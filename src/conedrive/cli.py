@@ -5,10 +5,11 @@ Every subcommand takes --seed and --out, writes a reproducibility stanza
 before it runs, and exits with a category-specific code:
 
     0  success
-    2  usage or configuration error
+    2  usage or configuration error (a flag value, a missing data source,
+       a flag that does not apply, a malformed --config file)
     3  referenced input path not found
-    4  malformed input (telemetry, image, manifest, checkpoint, model text,
-       or a directory where a file belongs)
+    4  malformed input: the contents of a telemetry, image, manifest,
+       checkpoint or model-text file, or a directory where a file belongs
     5  runtime failure (training divergence, non-finite values)
 
 A flat key=value config file may supply any flag of the chosen subcommand
@@ -21,9 +22,10 @@ frames, so a --checkpoint of another size is a usage error. ``train
 --resume`` and ``bench --checkpoint`` refuse any --arch, and a --task or
 --image-size that disagrees with the checkpoint. A flag that does not apply
 where it is given (--telemetry with --synth, say) is a usage error naming
-the flag, reported before any frame is synthesized or decoded. So are a
---synth N below ``synth.MIN_FRAMES`` and a negative render --limit, refused
-while the flags are parsed.
+the flag, reported before any frame is synthesized or decoded; so is an
+augment --shift-range of at least --image-size. A --synth N below
+``synth.MIN_FRAMES``, an --image-size below 1 and a negative --limit,
+--shift-range or --mixed-size are refused while the flags are parsed.
 """
 from __future__ import annotations
 
@@ -82,40 +84,42 @@ def _require_paths(*paths) -> None:
             raise FileNotFoundError(path)
 
 
-def _parse_crop(text):
-    """'x0,y0,width,height' -> (x0, y0, width, height)"""
-    try:
-        crop = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        crop = ()
-    if len(crop) != 4:
-        raise argparse.ArgumentTypeError(
-            f"a crop is four integers x0,y0,width,height, got {text!r}")
-    return crop
+def _checked(read, takes):
+    """An argparse type reading a flag with ``read``, whose ValueError argparse
+    reports as "<takes>, got '<text>'" (exit 2) before --out is written."""
+    def parse(text):
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{takes}, got {text!r}") from None
+    return parse
 
 
-def _parse_synth(text):
-    """--synth N: a frame count of at least ``synth.MIN_FRAMES``."""
-    try:
+def _at_least(floor):
+    """Reads an integer that is at least ``floor``."""
+    def read(text):
         n = int(text)
-    except ValueError:
-        n = None
-    if n is None or n < MIN_FRAMES:
-        raise argparse.ArgumentTypeError(
-            f"a synthetic dataset has at least {MIN_FRAMES} frames, got {text!r}")
-    return n
+        if n < floor:
+            raise ValueError(text)
+        return n
+    return read
 
 
-def _parse_limit(text):
-    """--limit N: render the first N pairs, all of them when N is 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"a limit is a frame count >= 0 (0 renders all), got {text!r}")
-    return n
+def _ints(count):
+    """Reads exactly ``count`` ','-joined integers as a tuple."""
+    def read(text):
+        values = tuple(int(v) for v in text.split(","))
+        if len(values) != count:
+            raise ValueError(text)
+        return values
+    return read
+
+
+_SYNTH = _checked(_at_least(MIN_FRAMES),
+                  f"a synthetic dataset has at least {MIN_FRAMES} frames")
+_SIDE = _checked(_at_least(1), "an image size is a side of at least 1 pixel")
+_GRID = _checked(lambda text: tuple(map(_ints(2), text.split(";"))),
+                 "a grid is ';'-joined integer pairs such as 7,5;5,3")
 
 
 def _refuse(args, where, **fixed) -> None:
@@ -148,9 +152,8 @@ def _load_split(args, names, image_size, limit=None) -> dict:
         pairs = dict(zip(SPLITS, (split.train, split.validation, split.test)))
         return {name: pairs[name][:limit] for name in names}
     if not (args.manifest and args.telemetry and args.frames):
-        raise DataError(
-            "need either --synth N or all of --manifest/--telemetry/--frames"
-        )
+        raise ValueError(
+            "need either --synth N or all of --manifest/--telemetry/--frames")
     _require_paths(args.manifest, args.telemetry, args.frames)
     membership, _, _ = read_manifest(args.manifest)
     return {name: load_pairs(membership[name][:limit], args.telemetry, args.frames,
@@ -224,7 +227,7 @@ def cmd_prep(args) -> int:
         _refuse(args, "without --synth: prep reads frame timestamps only",
                 image_size=None)
         if not (args.telemetry and args.frames):
-            raise DataError("prep needs --telemetry and --frames (or --synth N)")
+            raise ValueError("prep needs --telemetry and --frames (or --synth N)")
         telemetry, frames = args.telemetry, args.frames
         _require_paths(telemetry, frames)
     split, skipped, warnings = prep_corpus(telemetry, frames, args.seed)
@@ -302,20 +305,10 @@ def cmd_gridsearch(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text):
-    """'7,5;5,3' -> ((7, 5), (5, 3))"""
-    try:
-        grid = tuple(tuple(int(v) for v in chunk.split(","))
-                     for chunk in text.split(";"))
-    except ValueError:
-        grid = ((),)
-    if any(len(pair) != 2 for pair in grid):
-        raise argparse.ArgumentTypeError(
-            f"a grid is ';'-joined integer pairs such as 7,5;5,3, got {text!r}")
-    return grid
-
-
 def cmd_augment(args) -> int:
+    if args.shift_range >= args.image_size:
+        raise ValueError(f"--shift-range {args.shift_range} must be below the "
+                         f"frame width --image-size {args.image_size}")
     pairs = _load_split(args, ("train",), args.image_size)["train"]
     rng = np.random.default_rng(args.seed)
     shifts = rng.integers(-args.shift_range, args.shift_range + 1, size=len(pairs))
@@ -388,14 +381,14 @@ def cmd_activations(args) -> int:
 
 
 def _add_data_flags(p):
-    p.add_argument("--synth", type=_parse_synth, default=0, metavar="N",
+    p.add_argument("--synth", type=_SYNTH, default=0, metavar="N",
                    help=f"generate an N-frame synthetic track dataset "
                         f"(N >= {MIN_FRAMES})")
     p.add_argument("--manifest", help="dataset manifest from 'prep'")
     p.add_argument("--telemetry", help="telemetry CSV")
     p.add_argument("--frames", help="frames directory with sidecar index")
-    p.add_argument("--crop", type=_parse_crop, default=None,
-                   help="crop rectangle x0,y0,width,height")
+    p.add_argument("--crop", help="crop rectangle x0,y0,width,height",
+                   type=_checked(_ints(4), "a crop is four integers x0,y0,width,height"))
 
 
 def _add_train_flags(p):
@@ -424,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "prep", cmd_prep, "parse, scale, pair, split; write manifest")
     p.add_argument("--telemetry")
     p.add_argument("--frames")
-    p.add_argument("--synth", type=_parse_synth, default=0, metavar="N",
+    p.add_argument("--synth", type=_SYNTH, default=0, metavar="N",
                    help=f"write an N-frame synthetic corpus (N >= {MIN_FRAMES})")
-    p.add_argument("--image-size", type=int,
+    p.add_argument("--image-size", type=_SIDE,
                    help="side of the --synth frames (default 64)")
 
     p = _command(sub, "train", cmd_train, "train a controller network")
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "task is used")
     p.add_argument("--arch", help="default 3CL-2FC; not with --resume or "
                                   "--task brake_throttle")
-    p.add_argument("--image-size", type=int,
+    p.add_argument("--image-size", type=_SIDE,
                    help="network input size (default 64; --resume takes the "
                         "checkpoint's)")
     p.add_argument("--resume", help="checkpoint to continue from")
@@ -450,24 +443,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "gridsearch", cmd_gridsearch, "filter/stride grid over full runs")
     _add_data_flags(p)
-    p.add_argument("--image-size", type=int, default=DEFAULT_IMAGE_SIZE,
+    p.add_argument("--image-size", type=_SIDE, default=DEFAULT_IMAGE_SIZE,
                    help="network input size (default 64)")
     p.add_argument("--arch", default="4CL-3FC")
-    p.add_argument("--filters", type=_parse_grid, default=DEFAULT_FILTER_GRID,
+    p.add_argument("--filters", type=_GRID, default=DEFAULT_FILTER_GRID,
                    help="compressed pairs (default '7,5;5,5;5,3;3,3')")
-    p.add_argument("--strides", type=_parse_grid, default=DEFAULT_STRIDE_GRID,
+    p.add_argument("--strides", type=_GRID, default=DEFAULT_STRIDE_GRID,
                    help="compressed pairs (default '2,1;2,2')")
     _add_train_flags(p)
 
     p = _command(sub, "augment", cmd_augment, "shift-translate frames; optional mixed set")
     _add_data_flags(p)
-    p.add_argument("--image-size", type=int, default=DEFAULT_IMAGE_SIZE,
+    p.add_argument("--image-size", type=_SIDE, default=DEFAULT_IMAGE_SIZE,
                    help="side of the frames written (default 64)")
-    p.add_argument("--shift-range", type=int, default=24,
+    p.add_argument("--shift-range", default=24,
+                   type=_checked(_at_least(0), "a shift range is a pixel count >= 0"),
                    help="shifts drawn uniformly from [-R, R] pixels")
     p.add_argument("--k", type=float, default=SHIFT_DEGREES_PER_PIXEL,
                    help="steering correction in degrees per pixel")
-    p.add_argument("--mixed-size", type=int, default=0,
+    p.add_argument("--mixed-size", default=0,
+                   type=_checked(_at_least(0), "a mixed set size is a frame count >= 0 "
+                                               "(0 builds none)"),
                    help="also build a 15%%/85%% normal/shifted evaluation set")
 
     p = _command(sub, "render", cmd_render, "overlay frames for visual review")
@@ -475,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="render this model's predictions too; "
                                         "it must take 256x256 frames")
     p.add_argument("--split", choices=SPLITS, default="test")
-    p.add_argument("--limit", type=_parse_limit, default=0,
+    p.add_argument("--limit", default=0,
+                   type=_checked(_at_least(0), "a limit is a frame count >= 0 "
+                                               "(0 renders all)"),
                    help="render first N pairs only (0: all)")
 
     p = _command(sub, "bench", cmd_bench, "forward-pass latency report")
@@ -483,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", help="default 4CL-3FC")
     p.add_argument("--checkpoint", help="bench a trained model instead; it "
                                         "fixes the task, layers and input size")
-    p.add_argument("--image-size", type=int, help="default 256")
+    p.add_argument("--image-size", type=_SIDE, help="default 256")
     p.add_argument("--warmup", type=int, default=50)
     p.add_argument("--iters", type=int, default=1000)
 
@@ -505,7 +503,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         return argv
     at = argv.index("--config")
     if at + 1 >= len(argv):
-        raise DataError("--config needs a file argument")
+        raise ValueError("--config needs a file argument")
     path = argv[at + 1]
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -516,12 +514,12 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise DataError(f"config lines must be key=value, got {line!r}")
+                raise ValueError(f"config lines must be key=value, got {line!r}")
             key, value = line.split("=", 1)
             tokens += [f"--{key.strip().replace('_', '-')}", value.strip()]
     rest = argv[:at] + argv[at + 2 :]
     if not rest:
-        raise DataError("--config requires a subcommand")
+        raise ValueError("--config requires a subcommand")
     return rest[:1] + tokens + rest[1:]
 
 

@@ -824,3 +824,59 @@ class TestCli:
                                             "--batch-size"},
         }
         assert sum(map(len, flags.values())) == 86
+
+    @pytest.mark.parametrize("argv,flag,floor", [
+        (["prep", "--synth", "20"], "--image-size", 1),
+        (["train", "--synth", "40", "--task", "real", "--epochs", "1",
+          "--batch-size", "4"], "--image-size", 1),
+        (["gridsearch", "--synth", "20", "--filters", "3,3", "--strides", "1,1",
+          "--epochs", "1", "--batch-size", "4"], "--image-size", 1),
+        (["augment", "--synth", "20", "--shift-range", "0"], "--image-size", 1),
+        (["bench", "--task", "real", "--iters", "100", "--warmup", "0"],
+         "--image-size", 1),
+        (["augment", "--synth", "20", "--image-size", "16"], "--shift-range", 0),
+        (["augment", "--synth", "20", "--image-size", "16", "--shift-range", "3"],
+         "--mixed-size", 0),
+    ], ids=["prep-image-size", "train-image-size", "gridsearch-image-size",
+            "augment-image-size", "bench-image-size", "shift-range", "mixed-size"])
+    def test_count_flag_below_its_floor_is_a_usage_error(self, tmp_path, capsys, argv,
+                                                         flag, floor):
+        out = tmp_path / "below"
+        below = str(floor - 1)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, below, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and f", got '{below}'" in err, err
+        assert not out.exists()
+        assert main([*argv, flag, str(floor), "--out", str(tmp_path / "at")]) == EXIT_OK
+
+    def test_augment_shift_range_must_fit_the_frame(self, tmp_path, capsys,
+                                                    monkeypatch):
+        assert main(["augment", "--synth", "20", "--image-size", "16",
+                     "--shift-range", "15", "--out", str(tmp_path / "fits")]) == EXIT_OK
+        monkeypatch.setattr(cli, "synth_track_dataset", None)
+        out = tmp_path / "a"
+        code = main(["augment", "--synth", "20", "--image-size", "16", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--shift-range 24" in err and "--image-size 16" in err, err
+        assert [p.name for p in out.iterdir()] == ["run_info.txt"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--task", "real", "--out", "{out}"], "need either --synth N"),
+        (["prep", "--out", "{out}"], "prep needs --telemetry and --frames"),
+        (["train", "--out", "{out}", "--config"], "--config needs a file argument"),
+        (["train", "--config", "{bad}", "--out", "{out}"],
+         "config lines must be key=value, got 'epochs'"),
+        (["--config", "{good}"], "--config requires a subcommand"),
+    ], ids=["train-no-data", "prep-no-data", "config-no-file", "config-line-no-equals",
+            "config-no-subcommand"])
+    def test_missing_data_source_or_bad_config_is_a_usage_error(self, tmp_path, capsys,
+                                                                argv, message):
+        (tmp_path / "bad.cfg").write_text("epochs\n")
+        (tmp_path / "good.cfg").write_text("epochs=1\n")
+        paths = {"out": str(tmp_path / "o"), "bad": str(tmp_path / "bad.cfg"),
+                 "good": str(tmp_path / "good.cfg")}
+        assert main([a.format(**paths) for a in argv]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
