@@ -23,13 +23,15 @@ frames, so a --checkpoint of another size is a usage error. ``train
 --image-size that disagrees with the checkpoint. A flag that does not apply
 where it is given (--telemetry with --synth, say) is a usage error naming
 the flag, reported before any frame is synthesized or decoded; so is an
-augment --shift-range of at least --image-size. A --synth N below
-``synth.MIN_FRAMES``, an --image-size below 1 and a negative --limit,
---shift-range or --mixed-size are refused while the flags are parsed.
+augment --shift-range of at least --image-size, and (before anything is
+written) a --mixed-size the train split cannot fill. A --synth N below
+``synth.MIN_FRAMES``, an --image-size below 1, a non-finite --k and a negative
+--seed, --limit, --shift-range or --mixed-size are refused while parsing.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -38,7 +40,8 @@ import numpy as np
 from . import __version__
 from .bench import bench_forward, hardware_description, write_latency_report
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import load_pairs, prep_corpus, read_manifest, write_corpus, write_manifest
+from .corpus import (SPLITS, load_pairs, prep_corpus, read_manifest, write_corpus,
+                     write_manifest)
 from .data import (SHIFT_DEGREES_PER_PIXEL, brake_throttle_arrays,
                    build_mixed_set, classification_arrays, regression_arrays,
                    shift_augment, split_60_20_20)
@@ -61,7 +64,6 @@ EXIT_BAD_INPUT = 4
 EXIT_RUNTIME = 5
 
 TASKS = ("discrete", "real", "brake_throttle")
-SPLITS = ("train", "val", "test")
 RENDER_BATCH_SIZE = 64
 DEFAULT_IMAGE_SIZE = 64
 
@@ -103,6 +105,14 @@ def _at_least(floor):
             raise ValueError(text)
         return n
     return read
+
+
+def _finite(text):
+    """Reads a finite float."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
 
 
 def _ints(count):
@@ -313,11 +323,15 @@ def cmd_augment(args) -> int:
     rng = np.random.default_rng(args.seed)
     shifts = rng.integers(-args.shift_range, args.shift_range + 1, size=len(pairs))
     shifted = [shift_augment(p, int(s), args.k) for p, s in zip(pairs, shifts)]
+    if args.mixed_size:
+        try:
+            mixed = build_mixed_set(pairs, shifted, args.mixed_size, args.seed)
+        except DataError as exc:
+            raise ValueError(f"--mixed-size {args.mixed_size}: {exc}") from None
     aug_dir = os.path.join(args.out, "augmented")
     write_corpus(shifted, aug_dir)
     print(f"{len(shifted)} shifted frames written to {aug_dir}")
     if args.mixed_size:
-        mixed = build_mixed_set(pairs, shifted, args.mixed_size, args.seed)
         mixed_dir = os.path.join(args.out, "mixed")
         write_corpus(mixed, mixed_dir)
         n_normal = round(0.15 * args.mixed_size)
@@ -401,7 +415,8 @@ def _add_train_flags(p):
 def _command(sub, name, func, help):
     """A subcommand parser with the flags every command shares."""
     p = sub.add_parser(name, help=help)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0,
+                   type=_checked(_at_least(0), "a seed is an integer >= 0"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=func)
     return p
@@ -459,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-range", default=24,
                    type=_checked(_at_least(0), "a shift range is a pixel count >= 0"),
                    help="shifts drawn uniformly from [-R, R] pixels")
-    p.add_argument("--k", type=float, default=SHIFT_DEGREES_PER_PIXEL,
+    p.add_argument("--k", default=SHIFT_DEGREES_PER_PIXEL,
+                   type=_checked(_finite, "a steering correction is a finite number"),
                    help="steering correction in degrees per pixel")
     p.add_argument("--mixed-size", default=0,
                    type=_checked(_at_least(0), "a mixed set size is a frame count >= 0 "

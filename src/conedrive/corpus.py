@@ -1,10 +1,10 @@
 """On-disk corpus formats: frame directories, sidecar indexes, manifests.
 
-A corpus directory holds ``telemetry.csv`` (raw motor units) plus a
-``frames/`` directory of zero-padded ``frame_000123.ppm`` files and a
-``frames_index.tsv`` sidecar mapping frame index to timestamp in
-milliseconds. A dataset manifest pins split membership by
-(log row, frame index) so any split is exactly reproducible and auditable.
+A corpus directory holds ``telemetry.csv`` (``data.format_telemetry``'s raw
+units) plus a ``frames/`` directory of zero-padded ``frame_000123.ppm`` files
+and a ``frames_index.tsv`` sidecar mapping frame index to timestamp in
+milliseconds. A dataset manifest pins each of the ``SPLITS`` by (log row,
+frame index), so any split is exactly reproducible and auditable.
 
 ``load_pairs`` decodes a split's frames on the package's shared thread pool
 (``workers``), one contiguous run of rows per worker, and returns the pairs
@@ -22,12 +22,14 @@ import os
 import numpy as np
 
 from . import workers
-from .data import (DatasetSplit, FramePair, MOTOR_SCALE, TELEMETRY_HEADER,
-                   pair_nearest, parse_telemetry, scale_records, split_60_20_20)
+from .data import (DatasetSplit, FramePair, format_telemetry, pair_nearest,
+                   parse_telemetry, scale_records, split_60_20_20)
 from .errors import DataError
 from .ppm import load_image, to_u8, write_ppm
 
 FRAMES_INDEX = "frames_index.tsv"
+FRAMES_INDEX_HEADER = "frame_index\ttimestamp_ms"
+SPLITS = ("train", "val", "test")
 MANIFEST_HEADER = "# conedrive dataset manifest v1"
 
 
@@ -36,26 +38,17 @@ def frame_filename(index: int) -> str:
 
 
 def write_corpus(pairs: list[FramePair], out_dir) -> None:
-    """Write loaded pairs back out as a re-ingestable corpus.
-
-    Motor speeds are unscaled back to raw units so the telemetry CSV matches
-    the capture format.
-    """
+    """Write loaded pairs back out as a re-ingestable corpus: frame i is the
+    image of pairs[i], and the telemetry CSV is ``format_telemetry``'s
+    raw-unit text of their records."""
     frames_dir = os.path.join(out_dir, "frames")
     os.makedirs(frames_dir, exist_ok=True)
-    lines = [TELEMETRY_HEADER]
-    index_lines = ["frame_index\ttimestamp_ms"]
+    index_lines = [FRAMES_INDEX_HEADER]
     for i, pair in enumerate(pairs):
-        r = pair.record
-        lines.append(
-            f"{r.timestamp:.1f},{r.steering:.4f},{r.brake:.4f},{r.throttle:.4f},"
-            f"{r.left_motor_speed / MOTOR_SCALE:.1f},"
-            f"{r.right_motor_speed / MOTOR_SCALE:.1f}"
-        )
         write_ppm(os.path.join(frames_dir, frame_filename(i)), to_u8(pair.image))
-        index_lines.append(f"{i}\t{r.timestamp:.1f}")
+        index_lines.append(f"{i}\t{pair.record.timestamp:.1f}")
     with open(os.path.join(out_dir, "telemetry.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_telemetry(pair.record for pair in pairs))
     with open(os.path.join(frames_dir, FRAMES_INDEX), "w") as fh:
         fh.write("\n".join(index_lines) + "\n")
 
@@ -68,7 +61,7 @@ def read_frames_index(frames_dir):
     indexes, stamps = [], []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "frame_index\ttimestamp_ms":
+        if header != FRAMES_INDEX_HEADER:
             raise DataError(f"bad frames index header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -94,8 +87,7 @@ def write_manifest(path, split: DatasetSplit) -> None:
         fh.write(f"counts train={len(split.train)} val={len(split.validation)} "
                  f"test={len(split.test)}\n")
         fh.write("split\tlog_row\tframe_index\n")
-        for name, pairs in (("train", split.train), ("val", split.validation),
-                            ("test", split.test)):
+        for name, pairs in zip(SPLITS, (split.train, split.validation, split.test)):
             for pair in pairs:
                 fh.write(f"{name}\t{pair.log_row}\t{pair.frame_index}\n")
 
@@ -107,7 +99,7 @@ def read_manifest(path):
     if not lines or lines[0] != MANIFEST_HEADER:
         raise DataError(f"not a conedrive manifest: {path}")
     seed = dropped = None
-    membership = {"train": [], "val": [], "test": []}
+    membership = {name: [] for name in SPLITS}
     in_table = False
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

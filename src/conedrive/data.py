@@ -99,6 +99,16 @@ def parse_telemetry(text: str):
     return records, skipped
 
 
+def format_telemetry(records) -> str:
+    """Scaled records as the telemetry CSV ``parse_telemetry`` reads, in the
+    capture format's raw units: motor speeds are unscaled by MOTOR_SCALE."""
+    rows = [TELEMETRY_HEADER] + [
+        f"{r.timestamp:.1f},{r.steering:.4f},{r.brake:.4f},{r.throttle:.4f},"
+        f"{r.left_motor_speed / MOTOR_SCALE:.1f},{r.right_motor_speed / MOTOR_SCALE:.1f}"
+        for r in records]
+    return "\n".join(rows) + "\n"
+
+
 def clamp(value: float, lo: float, hi: float):
     """``value`` limited to [lo, hi], and whether that changed it."""
     clamped = min(max(value, lo), hi)

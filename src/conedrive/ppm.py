@@ -9,8 +9,9 @@ the two source columns of each output column. It converts just those bytes
 to [0, 1] (float32 division by 255, then float64) and blends them in
 (C, H, W) layout, in place. The gather indices and weights form a
 resampling plan, cached per (crop height, crop width, output height,
-output width) and read-only, since every call shares it. A crop already at
-the target size is only converted. Conversion is per element, and each
+output width) and read-only, since every call shares it. Every crop takes
+this one path: at the target size the plan's weights are exactly 1 and 0, so
+the blend returns the converted bytes. Conversion is per element, and each
 output element goes through the same float64 products and sums, in the same
 order, as in the float (H, W, C) resample that converts the whole crop
 first. That resample is kept as a test-only twin in the tests'
@@ -84,15 +85,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-_U8_MAX = np.float32(255.0)
-
-
-def _to_unit(u8: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``u8.astype(float32) / 255`` written into ``out`` in one pass; a
-    float64 ``out`` receives the float32 quotients widened exactly."""
-    return np.divide(u8, _U8_MAX, out=out, dtype=np.float32)
-
-
 @functools.lru_cache(maxsize=4)
 def _resample_plan(h: int, w: int, out_h: int, out_w: int):
     """Gather indices and weights resampling an (h, w, 3) crop to
@@ -143,19 +135,18 @@ def load_image(path, crop: tuple[int, int, int, int] | None = None,
             f"crop rectangle {crop} out of bounds for {w}x{h} frame"
         )
     window = raw[y0 : y0 + ch, x0 : x0 + cw]
-    out = np.empty((3, target, target), dtype=np.float32)
-    if (ch, cw) == (target, target):
-        return _to_unit(window.transpose(2, 0, 1), out)
     rows, taps, wy0, wy1, wx0, wx1 = _resample_plan(ch, cw, target, target)
     gathered = np.take(window[rows], taps)
-    left, right = _to_unit(gathered, np.empty(gathered.shape))
+    # float32 quotients by 255, widened exactly into float64
+    left, right = np.divide(gathered, np.float32(255.0), out=np.empty(gathered.shape),
+                            dtype=np.float32)
     left *= wx0
     right *= wx1
     left += right  # column blend of the top rows, then the bottom rows
     top, bottom = left[:, :target], left[:, target:]
     top *= wy0
     bottom *= wy1
-    return np.add(top, bottom, out=out)
+    return np.add(top, bottom, out=np.empty((3, target, target), dtype=np.float32))
 
 
 def to_u8(image_chw: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import TELEMETRY_HEADER, FramePair, TelemetryRecord, scale_signals
+from .data import FramePair, TelemetryRecord, format_telemetry, scale_signals
 from .errors import DataError
 
 FRAME_PERIOD_MS = 125.0  # matches the telemetry cadence of the capture rig
@@ -108,21 +108,11 @@ def synth_track_dataset(n: int, image_size: int = 64, seed: int = 0) -> list[Fra
 def synth_raw_corpus(n: int, image_size: int = 64, seed: int = 0):
     """Raw-unit corpus for exercising the full ingestion pipeline.
 
-    Returns (csv text with raw motor speeds, frames as (3,S,S) float arrays,
-    frame timestamps in ms). Frame timestamps are offset from the telemetry
-    timestamps by a fraction of the frame period so nearest-pairing has
-    actual work to do.
+    Returns (``format_telemetry``'s CSV text of ``synth_track_dataset``'s
+    records, frames as (3,S,S) float arrays, frame timestamps in ms). Frame
+    timestamps are offset from the telemetry timestamps by a quarter of the
+    frame period so nearest-pairing has actual work to do.
     """
     pairs = synth_track_dataset(n, image_size, seed)
-    lines = [f"{TELEMETRY_HEADER}"]
-    images, frame_ts = [], []
-    for pair in pairs:
-        r = pair.record
-        left_raw, right_raw = motor_raw_for(r.steering)
-        lines.append(
-            f"{r.timestamp:.1f},{r.steering:.4f},{r.brake:.4f},"
-            f"{r.throttle:.4f},{left_raw:.1f},{right_raw:.1f}"
-        )
-        images.append(pair.image)
-        frame_ts.append(r.timestamp + 0.25 * FRAME_PERIOD_MS)
-    return "\n".join(lines) + "\n", images, frame_ts
+    return (format_telemetry(p.record for p in pairs), [p.image for p in pairs],
+            [p.record.timestamp + 0.25 * FRAME_PERIOD_MS for p in pairs])

@@ -15,11 +15,13 @@ from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USA
                            build_parser, main)
 from conedrive.corpus import (prep_corpus, read_frames_index, read_manifest,
                               write_corpus, write_manifest)
-from conedrive.data import parse_telemetry, scale_records, split_60_20_20
+from conedrive.data import (MOTOR_SCALE, TELEMETRY_HEADER, format_telemetry,
+                            parse_telemetry, scale_records, split_60_20_20)
 from conedrive.errors import DataError
 from conedrive.graph import Model
 from conedrive.ppm import read_ppm
-from conedrive.synth import MIN_FRAMES, synth_track_dataset
+from conedrive.synth import (FRAME_PERIOD_MS, MIN_FRAMES, motor_raw_for,
+                             synth_raw_corpus, synth_track_dataset)
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
                            make_realvalue_model)
 
@@ -34,6 +36,18 @@ SPEC_EDITS = {
     "repeated-field": ("stride=2", "stride=1 stride=2"),
     "second-output": ("output head", "output pool1\noutput head"),
 }
+
+
+def field_by_field_csv(pairs):
+    """The raw-unit telemetry text of ``pairs`` spelled out one field at a
+    time, with the motor speeds taken from the oracle ``motor_raw_for``."""
+    lines = [TELEMETRY_HEADER]
+    for pair in pairs:
+        r = pair.record
+        left_raw, right_raw = motor_raw_for(r.steering)
+        lines.append(f"{r.timestamp:.1f},{r.steering:.4f},{r.brake:.4f},"
+                     f"{r.throttle:.4f},{left_raw:.1f},{right_raw:.1f}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +182,33 @@ class TestCorpusFormats:
         assert (a / "telemetry.csv").read_bytes() == (b / "telemetry.csv").read_bytes()
         assert (a / "frames" / "frame_000007.ppm").read_bytes() == \
             (b / "frames" / "frame_000007.ppm").read_bytes()
+
+    def test_write_corpus_telemetry_is_the_formatters_text(self, corpus_dir):
+        pairs = synth_track_dataset(60, image_size=32, seed=0)
+        text = (corpus_dir / "telemetry.csv").read_text()
+        assert text == format_telemetry(p.record for p in pairs)
+        assert text == field_by_field_csv(pairs)
+
+    @given(n=st.integers(MIN_FRAMES, 40), size=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=40, size=128, seed=3)                        # replay's frame size
+    @settings(max_examples=25, deadline=None)
+    def test_synth_raw_corpus_is_the_synthetic_drive_in_raw_units(self, n, size, seed):
+        text, images, stamps = synth_raw_corpus(n, size, seed)
+        pairs = synth_track_dataset(n, size, seed)
+        assert text == field_by_field_csv(pairs)
+        records, skipped = parse_telemetry(text)
+        assert skipped == []
+        scaled, clamped = scale_records(records)
+        assert clamped == 0
+        got = np.array([list(vars(r).values()) for r in scaled])
+        want = np.array([list(vars(p.record).values()) for p in pairs])
+        # the CSV keeps 1 decimal of time and raw motor speed, 4 of the rest
+        half_step = np.array([0.05, 5e-5, 5e-5, 5e-5, 0.05 * MOTOR_SCALE,
+                              0.05 * MOTOR_SCALE])
+        assert (np.abs(got - want).max(axis=0) <= half_step * 1.001).all()
+        assert [i.tobytes() for i in images] == [p.image.tobytes() for p in pairs]
+        assert stamps == [p.record.timestamp + 0.25 * FRAME_PERIOD_MS for p in pairs]
 
 
 class TestCli:
@@ -861,6 +902,46 @@ class TestCli:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "--shift-range 24" in err and "--image-size 16" in err, err
+        assert [p.name for p in out.iterdir()] == ["run_info.txt"]
+
+    @pytest.mark.parametrize("command", ["prep", "train", "eval", "gridsearch",
+                                         "augment", "render", "bench", "activations",
+                                         "config"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        if command == "config":
+            (tmp_path / "run.cfg").write_text("synth=20\nseed=-1\n")
+            argv = ["prep", "--config", str(tmp_path / "run.cfg")]
+        else:
+            argv = [command, "--seed", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --seed: " in err and ", got '-1'" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+    def test_non_finite_k_is_a_usage_error(self, tmp_path, capsys, k):
+        out = tmp_path / "a"
+        with pytest.raises(SystemExit) as exc:
+            main(["augment", "--synth", "20", "--image-size", "16", "--shift-range", "3",
+                  f"--k={k}", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --k: " in err and f", got '{k}'" in err, err
+        assert not out.exists()
+
+    def test_mixed_size_beyond_the_split_is_a_usage_error(self, tmp_path, capsys):
+        # --synth 20 puts 12 frames in train: a mix of 14 takes 2 normal and
+        # 12 shifted frames, one of 15 needs 13 shifted
+        argv = ["augment", "--synth", "20", "--image-size", "16", "--shift-range", "3"]
+        assert main([*argv, "--mixed-size", "14", "--out", str(tmp_path / "fits")]) \
+            == EXIT_OK
+        out = tmp_path / "a"
+        assert main([*argv, "--mixed-size", "15", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--mixed-size 15: " in err and "have 12/12" in err, err
         assert [p.name for p in out.iterdir()] == ["run_info.txt"]
 
     @pytest.mark.parametrize("argv,message", [
