@@ -43,8 +43,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (SPLITS, load_pairs, prep_corpus, read_manifest, write_corpus,
                      write_manifest)
 from .data import (SHIFT_DEGREES_PER_PIXEL, brake_throttle_arrays,
-                   build_mixed_set, classification_arrays, regression_arrays,
-                   shift_augment, split_60_20_20)
+                   build_mixed_set, classification_arrays, mixed_split,
+                   regression_arrays, shift_augment, split_60_20_20)
 from .errors import (CheckpointError, DataError, DivergenceError, GraphError,
                      NumericError, ShapeError)
 from .graph import Model
@@ -334,9 +334,9 @@ def cmd_augment(args) -> int:
     if args.mixed_size:
         mixed_dir = os.path.join(args.out, "mixed")
         write_corpus(mixed, mixed_dir)
-        n_normal = round(0.15 * args.mixed_size)
-        print(f"mixed evaluation set ({n_normal} normal / "
-              f"{args.mixed_size - n_normal} shifted) written to {mixed_dir}")
+        n_normal, n_shifted = mixed_split(args.mixed_size)
+        print(f"mixed evaluation set ({n_normal} normal / {n_shifted} shifted) "
+              f"written to {mixed_dir}")
     return EXIT_OK
 
 

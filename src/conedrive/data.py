@@ -236,10 +236,18 @@ def shift_augment(pair: FramePair, shift_px: int,
     return FramePair(shifted, record, pair.log_row, pair.frame_index)
 
 
+MIXED_NORMAL_SHARE = 0.15
+
+
+def mixed_split(size: int) -> tuple[int, int]:
+    """(normal, shifted) frame counts of a mixed set of ``size`` frames."""
+    n_normal = round(MIXED_NORMAL_SHARE * size)
+    return n_normal, size - n_normal
+
+
 def build_mixed_set(normal_pairs, shifted_pairs, size: int, seed: int):
-    """Seeded evaluation mix: round(0.15*size) normal frames, rest shifted."""
-    n_normal = round(0.15 * size)
-    n_shifted = size - n_normal
+    """Seeded evaluation mix of ``mixed_split(size)`` normal and shifted frames."""
+    n_normal, n_shifted = mixed_split(size)
     if n_normal > len(normal_pairs) or n_shifted > len(shifted_pairs):
         raise DataError(
             f"mixed set of {size} needs {n_normal} normal and {n_shifted} "

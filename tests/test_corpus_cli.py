@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conedrive import cli, corpus, workers
+from conedrive import cli, corpus, data, workers
 from conedrive.bench import hardware_description
 from conedrive.checkpoint import save_checkpoint
 from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
@@ -401,6 +401,20 @@ class TestCli:
         assert code == EXIT_OK
         assert (out / "augmented" / "telemetry.csv").exists()
         assert (out / "mixed" / "frames" / "frame_000000.ppm").exists()
+
+    @pytest.mark.parametrize("share, printed", [(None, "3 normal / 17 shifted"),
+                                                (0.5, "10 normal / 10 shifted")],
+                             ids=["default-share", "half-share"])
+    def test_augment_prints_the_mixed_sets_split(self, share, printed, tmp_path,
+                                                 monkeypatch, capsys):
+        if share is not None:
+            monkeypatch.setattr(data, "MIXED_NORMAL_SHARE", share)
+        out = tmp_path / "aug"
+        assert main(["augment", "--synth", "40", "--image-size", "16",
+                     "--shift-range", "3", "--mixed-size", "20",
+                     "--seed", "0", "--out", str(out)]) == EXIT_OK
+        assert f"mixed evaluation set ({printed})" in capsys.readouterr().out
+        assert len(read_frames_index(out / "mixed" / "frames")[0]) == 20
 
     def test_gridsearch_subcommand(self, tmp_path):
         out = tmp_path / "grid"

@@ -4,16 +4,17 @@ Each layer runs as a float64 model of one node (``zoo_models.check_layer``),
 checked by central differences with relative error
 |analytic - numeric| / max(1, |analytic| + |numeric|). Inputs for kinked
 activations (ReLU, clamp) are kept away from their kinks; everything else
-uses plain random tensors.
+uses plain random tensors. The kink tests put a ReLU input or a max-pool
+runner-up 5e-7 from its kink: inside a step of 1e-6, outside the checker's
+1e-7.
 """
 import numpy as np
 import pytest
 
 from conedrive.errors import NumericError
-from conedrive.gradcheck import grad_check_model
 from conedrive.graph import spec
 from conedrive.layers import BatchNorm2d, Conv2d, Linear
-from zoo_models import check_layer, check_loss, one_node_model
+from zoo_models import check_layer, check_loss
 
 SEEDS = range(10)
 TOL = 1e-5
@@ -87,11 +88,16 @@ def test_flatten(seed):
     assert check_layer(spec("flatten"), x) < 1e-6
 
 
-def test_h_outside_range_rejected():
-    model = one_node_model(spec("linear", out_features=2), (2,))
-    with pytest.raises(ValueError, match="outside"):
-        grad_check_model(model, {"x": rng(1).standard_normal((1, 2))},
-                         lambda out: (float(out.sum()), np.ones_like(out)), h=1e-2)
+def test_relu_input_near_its_kink():
+    # a step of 1e-6 straddles the kink and reads 0.143
+    x = np.array([[0.5, -0.5, 5e-7, 0.25]])
+    assert check_layer(spec("relu"), x) < 1e-6
+
+
+def test_maxpool_runner_up_near_the_max():
+    # a step of 1e-6 swaps the window's max and reads 0.031
+    x = np.array([[[[1.0, -0.5], [0.25, 1.0 - 5e-7]]]])
+    assert check_layer(spec("maxpool", window=2, stride=2), x) < TOL
 
 
 def test_nonfinite_reported_with_coordinate():
