@@ -1,14 +1,14 @@
 """Single-frame forward-latency measurement with per-node accounting.
 
-Each iteration times every graph node and the whole forward pass with the
-monotonic clock; warmup iterations are excluded. Every input is a batch of
-one frame, the controller's serving shape, built once before the loop, so
-timing never includes input preparation. A batch-1 forward is one chunk of
-every convolution, so it runs on the calling thread alone (see
-``layers.Conv2d``) and the loop stays single-threaded; run it on an
-otherwise idle machine. Per-layer-kind
-aggregation reports the mean added latency per conv layer, per FC layer,
-and so on.
+Each iteration times the whole forward pass with the monotonic clock and
+keeps the time of every node's layer that the forward's observer reports;
+warmup iterations are excluded. Every input is a batch of one frame, the
+controller's serving shape, built once before the loop, so timing never
+includes input preparation. A batch-1 forward is one chunk of every
+convolution, so it runs on the calling thread alone (see ``layers.Conv2d``)
+and the loop stays single-threaded; run it on an otherwise idle machine.
+Per-layer-kind aggregation reports the mean added latency per conv layer,
+per FC layer, and so on.
 """
 from __future__ import annotations
 
@@ -105,26 +105,24 @@ def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,
         name: rng.random((1,) + shape, dtype=np.float32)
         for name, shape in model.spec.inputs
     }
-    node_names = model.node_names()
-    kinds = {n.name: n.layer.kind for n in model.order}
-
     for _ in range(warmup):
         model.forward(inputs, mode="eval")
 
-    per_node = {name: [] for name in node_names}
+    per_node = {name: [] for name in model.node_names()}
+
+    def record(name, out, elapsed_ns):
+        per_node[name].append(elapsed_ns)
+
     totals = []
     for _ in range(iters):
-        timings: dict[str, int] = {}
         t0 = perf_counter_ns()
-        model.forward(inputs, mode="eval", timings=timings)
+        model.forward(inputs, mode="eval", observe=record)
         totals.append(perf_counter_ns() - t0)
-        for name in node_names:
-            per_node[name].append(timings[name])
 
     layers = [
-        LayerTiming(name, kinds[name],
-                    float(np.mean(per_node[name])), float(np.std(per_node[name])))
-        for name in node_names
+        LayerTiming(n.name, n.layer.kind,
+                    float(np.mean(per_node[n.name])), float(np.std(per_node[n.name])))
+        for n in model.order
     ]
     per_kind: dict[str, list[float]] = {}
     for t in layers:

@@ -56,13 +56,26 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _read_text(fh, n: int, what: str, path) -> str:
+    """The next ``n`` bytes as UTF-8 text; a byte that does not decode is a
+    CheckpointError naming the file and the byte's offset in it."""
+    data = _read_exact(fh, n, what)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = fh.tell() - n + exc.start
+        raise CheckpointError(
+            f"{path}: {what} is not UTF-8 text at byte {offset}") from None
+
+
 def load_checkpoint(path) -> Model:
     """Rebuild a Model from a checkpoint file.
 
     Raises CheckpointError with distinct messages for bad magic, unsupported
-    versions, truncated files, a tensor stored twice and trailing bytes;
-    GraphError for malformed model text; ShapeError for a tensor set or
-    shape that does not match the model.
+    versions, truncated files, model text or a tensor name that is not
+    UTF-8, a tensor stored twice and trailing bytes; GraphError for
+    malformed model text; ShapeError for a tensor set or shape that does not
+    match the model.
     """
     with open(path, "rb") as raw:
         fh = io.BytesIO(raw.read())
@@ -75,13 +88,13 @@ def load_checkpoint(path) -> Model:
             f"unsupported checkpoint version {version} (newest supported: {VERSION})"
         )
     (spec_len,) = struct.unpack("<I", _read_exact(fh, 4, "spec length"))
-    spec_text = _read_exact(fh, spec_len, "spec text").decode("utf-8")
+    spec_text = _read_text(fh, spec_len, "spec text", path)
     spec = ModelSpec.from_text(spec_text)
     (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-        name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+        name = _read_text(fh, name_len, "tensor name", path)
         (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of '{name}'"))
         dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"dims of '{name}'"))
         n_bytes = 4 * int(np.prod(dims, dtype=np.int64))

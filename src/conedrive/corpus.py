@@ -53,26 +53,35 @@ def write_corpus(pairs: list[FramePair], out_dir) -> None:
         fh.write("\n".join(index_lines) + "\n")
 
 
+def _read_text(path) -> str:
+    """The text of the file at ``path``; a byte that does not decode is a
+    DataError naming the file, not the codec's bare ValueError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {exc.encoding} text at byte {exc.start}") from None
+
+
 def read_frames_index(frames_dir):
     """Sidecar index as (frame indexes, timestamps ms), sorted by time."""
     path = os.path.join(frames_dir, FRAMES_INDEX)
     if not os.path.exists(path):
         raise DataError(f"frames index not found: {path}")
     indexes, stamps = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != FRAMES_INDEX_HEADER:
-            raise DataError(f"bad frames index header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                idx, ts = line.split("\t")
-                indexes.append(int(idx))
-                stamps.append(float(ts))
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: malformed frames index row "
-                                f"{line.rstrip()!r}") from None
+    header, *rows = _read_text(path).split("\n")
+    if header.strip() != FRAMES_INDEX_HEADER:
+        raise DataError(f"bad frames index header {header.strip()!r}")
+    for lineno, line in enumerate(rows, start=2):
+        if not line.strip():
+            continue
+        try:
+            idx, ts = line.split("\t")
+            indexes.append(int(idx))
+            stamps.append(float(ts))
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: malformed frames index row "
+                            f"{line.rstrip()!r}") from None
     if not indexes:
         raise DataError("frames index lists no frames")
     order = np.argsort(stamps, kind="stable")
@@ -94,9 +103,8 @@ def write_manifest(path, split: DatasetSplit) -> None:
 
 def read_manifest(path):
     """Returns (membership dict split->[(log_row, frame_index)], seed, dropped)."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != MANIFEST_HEADER:
+    lines = _read_text(path).split("\n")
+    if lines[0] != MANIFEST_HEADER:
         raise DataError(f"not a conedrive manifest: {path}")
     seed = dropped = None
     membership = {name: [] for name in SPLITS}
@@ -141,8 +149,7 @@ def _read_telemetry(path):
     the text is unchanged, so a pass over ``prep_corpus`` and each split's
     ``load_pairs`` parses and scales its log once. The records are a tuple
     of frozen records; the skipped list returned is fresh."""
-    with open(path) as fh:
-        records, skipped, warnings = _parse_text(fh.read())
+    records, skipped, warnings = _parse_text(_read_text(path))
     return records, list(skipped), warnings
 
 

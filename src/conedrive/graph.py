@@ -316,12 +316,11 @@ class Model:
         return batch
 
     def forward(self, inputs: dict[str, np.ndarray], mode: str,
-                capture: dict | None = None,
-                timings: dict[str, int] | None = None) -> np.ndarray:
+                observe=None) -> np.ndarray:
         """Evaluate the graph on named input arrays; ``mode`` is 'train' or 'eval'.
 
-        ``capture`` (a dict) collects copies of named node outputs.
-        ``timings`` collects per-node wall-clock nanoseconds.
+        ``observe(name, out, elapsed_ns)`` sees each plan step in order, after
+        its shape check: the node's output and the time of its layer's forward.
         """
         if mode not in ("train", "eval"):
             raise GraphError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -333,20 +332,20 @@ class Model:
         for step in self.plan:
             x = ([values[src] for src in step.srcs] if step.multi_input
                  else values[step.srcs[0]])
-            if timings is not None:
+            if observe is None:
+                out = step.layer.forward(x, train)
+            else:
                 t0 = perf_counter_ns()
                 out = step.layer.forward(x, train)
-                timings[step.name] = perf_counter_ns() - t0
-            else:
-                out = step.layer.forward(x, train)
+                elapsed = perf_counter_ns() - t0
             if tuple(out.shape[1:]) != step.shape:
                 raise ShapeError(
                     f"node '{step.name}' produced shape {out.shape}, "
                     f"inference said (batch, {', '.join(str(d) for d in step.shape)})"
                 )
             values[step.slot] = out
-            if capture is not None and step.name in capture:
-                capture[step.name] = out.copy()
+            if observe is not None:
+                observe(step.name, out, elapsed)
             for slot in step.spent:
                 values[slot] = None
         return values[self._slot[self.spec.output]]

@@ -90,6 +90,13 @@ def task_of(model: Model) -> str:
         model.output_kind, "brake_throttle")
 
 
+def _node(model: Model, node: str) -> str:
+    """``node``, which must name a node of ``model``: else a GraphError."""
+    if node not in model.layers:
+        raise GraphError(f"node '{node}' not in model; available: {model.node_names()}")
+    return node
+
+
 def predict(model: Model, inputs: dict[str, np.ndarray], batch_size: int,
             node: str | None = None) -> np.ndarray:
     """Eval-mode outputs of ``node`` (default: the model's) for every frame,
@@ -98,14 +105,15 @@ def predict(model: Model, inputs: dict[str, np.ndarray], batch_size: int,
     Each batch is forwarded whole, as one part of ``workers.run``, so the
     batches of a split run on the pool threads at once (a batch's
     convolutions then run their chunks on its own thread) and the result is
-    the same bytes at any worker count."""
-    node = node or model.spec.output
+    the same bytes at any worker count. An unknown ``node`` is a GraphError."""
+    node = _node(model, node or model.spec.output)
 
     def forward(start):
-        capture = {node: None}
+        kept = []
         model.forward({name: arr[start:start + batch_size]
-                       for name, arr in inputs.items()}, mode="eval", capture=capture)
-        return capture[node]
+                       for name, arr in inputs.items()}, mode="eval",
+                      observe=lambda name, out, _: name == node and kept.append(out))
+        return kept[0]
 
     frames = len(next(iter(inputs.values())))
     return np.concatenate(workers.run(forward, list(range(0, frames, batch_size))))
@@ -200,15 +208,10 @@ def export_activations(model: Model, inputs, targets, path,
     Header records the layer name and width. Rows follow split order over
     full batches; returns the number of rows written.
     """
-    if layer is None:
-        layer = default_activation_layer(model)
-    if layer not in model.layers:
-        raise GraphError(
-            f"layer '{layer}' not in model; available: {model.node_names()}"
-        )
-    width = int(np.prod(model.shapes[layer]))
+    layer = _node(model, layer or default_activation_layer(model))
     xs, ys = _full_batches(inputs, targets, batch_size)
-    acts = predict(model, xs, batch_size, node=layer).reshape(len(ys), width)
+    acts = predict(model, xs, batch_size, node=layer).reshape(len(ys), -1)
+    width = acts.shape[1]
     with open(path, "w") as fh:
         fh.write(f"# layer={layer} width={width}\n")
         fh.write("\t".join(f"a{i}" for i in range(width)) + "\tlabel\n")

@@ -1,4 +1,6 @@
 """Checkpoint round-trips and corruption diagnostics."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,21 @@ def save_with_tensors(model, path, tensors) -> None:
     """Save ``model`` with ``tensors`` in place of its state tensors."""
     model.state_tensors = lambda: tensors
     save_checkpoint(model, path)
+
+
+def test_undecodable_tensor_name_names_the_file_and_byte(tmp_path, trained_ish_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained_ish_model, path)
+    blob = bytearray(path.read_bytes())
+    # the first name follows the model text (from byte 24, its u32 length just
+    # before), the u32 tensor count and the name's u16 length
+    (spec_len,) = struct.unpack_from("<I", blob, 20)
+    at = 24 + spec_len + 4 + 2
+    blob[at] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError,
+                       match=f"model.ckpt: tensor name is not UTF-8 text at byte {at}"):
+        load_checkpoint(path)
 
 
 def test_trailing_bytes_rejected(tmp_path, trained_ish_model):

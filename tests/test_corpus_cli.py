@@ -516,6 +516,37 @@ class TestCli:
         assert f"manifest.tsv line {line}: malformed manifest line" in \
             capsys.readouterr().err
 
+    # (file, byte set to 0xff, command that reads it): each byte lies in the
+    # file's text, for the checkpoint in its model text
+    @pytest.mark.parametrize("name,at,command", [
+        ("telemetry.csv", 80, "prep"),
+        ("frames_index.tsv", 40, "prep"),
+        ("manifest.tsv", 40, "eval"),
+        ("model.ckpt", 40, "eval"),
+    ], ids=["telemetry", "frames-index", "manifest", "checkpoint"])
+    def test_undecodable_byte_exits_bad_input_naming_its_file(
+            self, tmp_path, corpus_dir, capsys, name, at, command):
+        drive = tmp_path / "drive"
+        shutil.copytree(corpus_dir, drive)
+        telemetry, frames = drive / "telemetry.csv", drive / "frames"
+        assert main(["prep", "--telemetry", str(telemetry), "--frames", str(frames),
+                     "--seed", "0", "--out", str(tmp_path / "prep")]) == EXIT_OK
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
+        path = {"telemetry.csv": telemetry, "frames_index.tsv": frames / name,
+                "manifest.tsv": tmp_path / "prep" / name, "model.ckpt": ckpt}[name]
+        blob = bytearray(path.read_bytes())
+        blob[at] = 0xFF
+        path.write_bytes(bytes(blob))
+        sources = ["--telemetry", str(telemetry), "--frames", str(frames)]
+        argv = {"prep": ["prep", *sources],
+                "eval": ["eval", "--checkpoint", str(ckpt), "--manifest",
+                         str(tmp_path / "prep" / "manifest.tsv"), *sources,
+                         "--batch-size", "4"]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+        assert f"{path}: " in capsys.readouterr().err
+
     @pytest.fixture
     def two_part_eval(self, tmp_path, corpus_dir, monkeypatch):
         """(the test split's frame files, a function running ``eval`` on a
@@ -965,13 +996,17 @@ class TestCli:
         (["train", "--config", "{bad}", "--out", "{out}"],
          "config lines must be key=value, got 'epochs'"),
         (["--config", "{good}"], "--config requires a subcommand"),
+        (["train", "--config", "{undecodable}", "--out", "{out}"],
+         "can't decode byte 0xff"),
     ], ids=["train-no-data", "prep-no-data", "config-no-file", "config-line-no-equals",
-            "config-no-subcommand"])
+            "config-no-subcommand", "config-not-text"])
     def test_missing_data_source_or_bad_config_is_a_usage_error(self, tmp_path, capsys,
                                                                 argv, message):
         (tmp_path / "bad.cfg").write_text("epochs\n")
         (tmp_path / "good.cfg").write_text("epochs=1\n")
+        (tmp_path / "undecodable.cfg").write_bytes(b"epochs=1\xff\n")
         paths = {"out": str(tmp_path / "o"), "bad": str(tmp_path / "bad.cfg"),
-                 "good": str(tmp_path / "good.cfg")}
+                 "good": str(tmp_path / "good.cfg"),
+                 "undecodable": str(tmp_path / "undecodable.cfg")}
         assert main([a.format(**paths) for a in argv]) == EXIT_USAGE
         assert message in capsys.readouterr().err

@@ -8,6 +8,7 @@ from conedrive.errors import GraphError, ShapeError
 from conedrive.gradcheck import grad_check_model
 from conedrive.graph import TEXT_HEADER, LayerSpec, Model, ModelSpec, NodeSpec, spec
 from conedrive.layers import LAYER_KINDS, smooth_l1, softmax_cross_entropy
+from conedrive.metrics import predict
 from conedrive.zoo import (DISCRETE_NAMES, REALVALUE_NAMES, expand_double_compressed,
                            make_brake_throttle_model, make_discrete_model,
                            make_realvalue_model)
@@ -100,14 +101,14 @@ class TestShapeInference:
         for name, model_spec in zoo_specs(32).items():
             model = Model(model_spec, seed=0)
             shapes = model_spec.infer_shapes()
-            capture = {node.name: None for node in model.order}
             inputs = {
                 n: np.zeros((2,) + s, dtype=np.float32)
                 for n, s in model_spec.inputs
             }
-            model.forward(inputs, mode="eval", capture=capture)
-            for node_name, value in capture.items():
-                assert value.shape[1:] == shapes[node_name], name
+            seen = {}
+            model.forward(inputs, mode="eval",
+                          observe=lambda node, out, _: seen.setdefault(node, out.shape[1:]))
+            assert seen == {node: shapes[node] for node in model.node_names()}, name
 
     def test_1cl_1fc_full_scale_counts(self):
         model_spec = make_discrete_model("1CL-1FC", input_hw=256)
@@ -267,6 +268,25 @@ class TestForward:
         np.testing.assert_array_equal(model_a.forward({"image": x}, mode="eval"),
                                       model_b.forward({"image": x}, mode="eval"))
 
+    @pytest.mark.parametrize("name", sorted(zoo_specs(16)))
+    def test_observer_sees_each_step_once_in_plan_order(self, name):
+        """Every head: the observer sees each plan step once, in plan order,
+        with a non-negative time and the bytes ``predict`` gives for that
+        node, and the output keeps the bytes of an unobserved forward."""
+        model_spec = zoo_specs(16)[name]
+        model = Model(model_spec, seed=1)
+        rng = np.random.default_rng(2)
+        inputs = {n: rng.uniform(0, 256 if n == "motor" else 1, (3,) + shape
+                                 ).astype(np.float32)
+                  for n, shape in model_spec.inputs}
+        seen = []
+        out = model.forward(inputs, mode="eval", observe=lambda *call: seen.append(call))
+        assert [node for node, _, _ in seen] == [step.name for step in model.plan]
+        assert all(elapsed_ns >= 0 for _, _, elapsed_ns in seen)
+        assert out.tobytes() == model.forward(inputs, mode="eval").tobytes()
+        for node, value, _ in seen:
+            assert value.tobytes() == predict(model, inputs, 3, node=node).tobytes(), node
+
     def test_forward_drops_values_no_later_step_reads(self):
         """When the last step runs, of the values before it only its own
         input is still held; the output is returned."""
@@ -284,10 +304,12 @@ class TestForward:
 
             layer.forward = recorded
         x = np.random.default_rng(0).standard_normal((2, 1, 5, 5)).astype(np.float32)
-        capture = {"a": None}
-        out = model.forward({"image": x}, mode="eval", capture=capture)
+        # the observer keeps shapes, not values, so holds nothing itself
+        seen = {}
+        out = model.forward({"image": x}, mode="eval",
+                            observe=lambda name, value, _: seen.setdefault(name, value.shape))
         assert held == ["join"]
-        assert made["out"]() is out and capture["a"].shape == (2, 3)
+        assert made["out"]() is out and seen["a"] == (2, 3)
 
 
 class TestBackward:

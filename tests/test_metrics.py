@@ -37,6 +37,14 @@ def rigged_regressor(constant=5.0, input_hw=16):
     return model
 
 
+def forward_keeping(model, batch, node):
+    """``model``'s eval-mode output for ``batch``, and ``node``'s on the way."""
+    kept = {}
+    out = model.forward(batch, mode="eval",
+                        observe=lambda name, value, _: kept.setdefault(name, value))
+    return out, kept[node]
+
+
 def balanced_pairs(per_class=32, size=16, seed=0):
     pairs = synth_track_dataset(2000, image_size=size, seed=seed)
     by_class = {1: [], 2: [], 3: []}
@@ -111,15 +119,25 @@ class TestEvalClassification:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("node", ["nope", "image"])
+    def test_unknown_node_lists_the_models_nodes(self, node):
+        """A name that is no node, or is a graph input, is refused before any
+        forward."""
+        model = Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0)
+        x = np.zeros((4, 3, 16, 16), dtype=np.float32)
+        with pytest.raises(GraphError, match=rf"node '{node}' not in model; "
+                                             rf"available: \['conv1', "):
+            predict(model, {"image": x}, 4, node=node)
+
     def test_equals_concatenated_per_batch_forwards(self):
         model = Model(make_brake_throttle_model(input_hw=16), seed=0)
         inputs, _ = brake_throttle_arrays(synth_track_dataset(23, image_size=16, seed=5))
         outs, hidden = [], []
         for start in (0, 8, 16):  # two full batches of 8, then a partial 7
-            capture = {"fc1_relu": None}
-            outs.append(model.forward({k: v[start:start + 8] for k, v in inputs.items()},
-                                      mode="eval", capture=capture))
-            hidden.append(capture["fc1_relu"])
+            out, fc1_relu = forward_keeping(
+                model, {k: v[start:start + 8] for k, v in inputs.items()}, "fc1_relu")
+            outs.append(out)
+            hidden.append(fc1_relu)
         sizes = []
         forward = model.forward
 
@@ -171,8 +189,7 @@ class TestPredict:
                    for _ in range(4)]
 
         def forward(batch):
-            capture = {"fc1_relu": None}
-            return model.forward(batch, mode="eval", capture=capture), capture["fc1_relu"]
+            return forward_keeping(model, batch, "fc1_relu")
 
         want = [forward(batch) for batch in batches]
         start = threading.Barrier(len(batches), timeout=30)
