@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, GraphError, ShapeError
 from .graph import Model, ModelSpec
 
 MAGIC = b"FSPT"
@@ -56,16 +56,15 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-def _read_text(fh, n: int, what: str, path) -> str:
+def _read_text(fh, n: int, what: str) -> str:
     """The next ``n`` bytes as UTF-8 text; a byte that does not decode is a
-    CheckpointError naming the file and the byte's offset in it."""
+    CheckpointError naming the byte's offset in the file."""
     data = _read_exact(fh, n, what)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         offset = fh.tell() - n + exc.start
-        raise CheckpointError(
-            f"{path}: {what} is not UTF-8 text at byte {offset}") from None
+        raise CheckpointError(f"{what} is not UTF-8 text at byte {offset}") from None
 
 
 def load_checkpoint(path) -> Model:
@@ -75,37 +74,39 @@ def load_checkpoint(path) -> Model:
     versions, truncated files, model text or a tensor name that is not
     UTF-8, a tensor stored twice and trailing bytes; GraphError for
     malformed model text; ShapeError for a tensor set or shape that does not
-    match the model.
+    match the model. Each message begins with the file's path.
     """
     with open(path, "rb") as raw:
         fh = io.BytesIO(raw.read())
-    magic = fh.read(4)
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}; not a conedrive checkpoint")
-    version, epoch, seed = struct.unpack("<IIQ", _read_exact(fh, 16, "header"))
-    if version > VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version} (newest supported: {VERSION})"
-        )
-    (spec_len,) = struct.unpack("<I", _read_exact(fh, 4, "spec length"))
-    spec_text = _read_text(fh, spec_len, "spec text", path)
-    spec = ModelSpec.from_text(spec_text)
-    (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-        name = _read_text(fh, name_len, "tensor name", path)
-        (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of '{name}'"))
-        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"dims of '{name}'"))
-        n_bytes = 4 * int(np.prod(dims, dtype=np.int64))
-        payload = _read_exact(fh, n_bytes, f"payload of '{name}'")
-        if name in tensors:
-            raise CheckpointError(f"tensor '{name}' is stored twice")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    trailing = len(fh.read())
-    if trailing:
-        raise CheckpointError(f"{trailing} trailing bytes after the last tensor")
-    model = Model(spec, seed=seed)
-    model.epoch = epoch
-    model.load_state_tensors(tensors)
+    try:
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}; not a conedrive checkpoint")
+        version, epoch, seed = struct.unpack("<IIQ", _read_exact(fh, 16, "header"))
+        if version > VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {version} (newest supported: {VERSION})"
+            )
+        (spec_len,) = struct.unpack("<I", _read_exact(fh, 4, "spec length"))
+        spec = ModelSpec.from_text(_read_text(fh, spec_len, "spec text"))
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
+            name = _read_text(fh, name_len, "tensor name")
+            (rank,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of '{name}'"))
+            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"dims of '{name}'"))
+            n_bytes = 4 * int(np.prod(dims, dtype=np.int64))
+            payload = _read_exact(fh, n_bytes, f"payload of '{name}'")
+            if name in tensors:
+                raise CheckpointError(f"tensor '{name}' is stored twice")
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        trailing = len(fh.read())
+        if trailing:
+            raise CheckpointError(f"{trailing} trailing bytes after the last tensor")
+        model = Model(spec, seed=seed)
+        model.epoch = epoch
+        model.load_state_tensors(tensors)
+    except (CheckpointError, GraphError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return model

@@ -8,8 +8,8 @@ before it runs, and exits with a category-specific code:
     2  usage or configuration error (a flag value, a missing data source,
        a flag that does not apply, a malformed --config file)
     3  referenced input path not found
-    4  malformed input: the contents of a telemetry, image, manifest,
-       checkpoint or model-text file, or a directory where a file belongs
+    4  malformed input, its file named first: the contents of a telemetry,
+       image, manifest or checkpoint file, or a directory where a file belongs
     5  runtime failure (training divergence, non-finite values)
 
 A flat key=value config file may supply any flag of the chosen subcommand

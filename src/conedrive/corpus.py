@@ -71,7 +71,7 @@ def read_frames_index(frames_dir):
     indexes, stamps = [], []
     header, *rows = _read_text(path).split("\n")
     if header.strip() != FRAMES_INDEX_HEADER:
-        raise DataError(f"bad frames index header {header.strip()!r}")
+        raise DataError(f"{path}: bad frames index header {header.strip()!r}")
     for lineno, line in enumerate(rows, start=2):
         if not line.strip():
             continue
@@ -83,7 +83,7 @@ def read_frames_index(frames_dir):
             raise DataError(f"{path} line {lineno}: malformed frames index row "
                             f"{line.rstrip()!r}") from None
     if not indexes:
-        raise DataError("frames index lists no frames")
+        raise DataError(f"{path}: frames index lists no frames")
     order = np.argsort(stamps, kind="stable")
     return [indexes[i] for i in order], [stamps[i] for i in order]
 
@@ -131,7 +131,7 @@ def read_manifest(path):
             raise DataError(f"{path} line {lineno}: malformed manifest line "
                             f"{line!r}") from None
     if seed is None or dropped is None:
-        raise DataError("manifest is missing its seed/dropped header lines")
+        raise DataError(f"{path}: manifest is missing its seed/dropped header lines")
     return membership, seed, dropped
 
 
@@ -144,12 +144,15 @@ def _parse_text(text: str):
 
 def _read_telemetry(path):
     """(scaled records, skipped row numbers, clamp warnings) of the log at
-    ``path``: ``parse_telemetry`` then ``scale_records``. The file is read
-    on every call, but the result for the last text read is reused while
-    the text is unchanged, so a pass over ``prep_corpus`` and each split's
-    ``load_pairs`` parses and scales its log once. The records are a tuple
-    of frozen records; the skipped list returned is fresh."""
-    records, skipped, warnings = _parse_text(_read_text(path))
+    ``path``: ``parse_telemetry`` then ``scale_records``, reused while the
+    text is unchanged (see the module docstring). The records are a tuple of
+    frozen records; the skipped list is fresh. A log that does not parse is
+    a DataError naming the file."""
+    text = _read_text(path)
+    try:
+        records, skipped, warnings = _parse_text(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return records, list(skipped), warnings
 
 

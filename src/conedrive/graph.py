@@ -319,6 +319,7 @@ class Model:
                 observe=None) -> np.ndarray:
         """Evaluate the graph on named input arrays; ``mode`` is 'train' or 'eval'.
 
+        Each input is first converted to the model's dtype (see ``tensor``).
         ``observe(name, out, elapsed_ns)`` sees each plan step in order, after
         its shape check: the node's output and the time of its layer's forward.
         """
@@ -328,7 +329,7 @@ class Model:
         self._check_inputs(inputs)
         values: list = [None] * len(self._slot)
         for name, arr in inputs.items():
-            values[self._slot[name]] = arr
+            values[self._slot[name]] = np.asarray(arr, dtype=self.dtype)
         for step in self.plan:
             x = ([values[src] for src in step.srcs] if step.multi_input
                  else values[step.srcs[0]])

@@ -86,18 +86,23 @@ def im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return out
 
 
+def _window_offsets(k: int, s: int, ho: int, wo: int) -> list[tuple]:
+    """Index of the element at offset (di, dj) of every k x k window, for
+    each offset in row-major order; each selects an (ho, wo) strided grid."""
+    return [(slice(None), slice(None), slice(di, di + s * ho, s), slice(dj, dj + s * wo, s))
+            for di, dj in (divmod(idx, k) for idx in range(k * k))]
+
+
 def col2im(cols: np.ndarray, x_shape: tuple, kernel: int, stride: int) -> np.ndarray:
-    """Scatter-add patch columns back onto the (N,C,H,W) input grid."""
+    """Scatter-add patch columns back onto the (N,C,H,W) input grid, one
+    window offset at a time in row-major order."""
     n, c, h, w = x_shape
     ho = conv_out_extent(h, kernel, stride)
     wo = conv_out_extent(w, kernel, stride)
-    d = cols.reshape(n, c, kernel, kernel, ho, wo)
+    d = cols.reshape(n, c, kernel * kernel, ho, wo)
     dx = np.zeros(x_shape, dtype=cols.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            dx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += d[
-                :, :, i, j
-            ]
+    for tap, at in enumerate(_window_offsets(kernel, stride, ho, wo)):
+        dx[at] += d[:, :, tap]
     return dx
 
 
@@ -190,7 +195,8 @@ def _fan_in_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, dtype):
 
 
 class Conv2d(Layer):
-    """Valid 2-D convolution, square kernel, no padding."""
+    """Valid 2-D convolution, square kernel, no padding; its results take the
+    input's dtype, which is the layer's own (see ``tensor``)."""
 
     kind = "conv"
     HYPER = (("out_depth", int), ("kernel", int), ("stride", int))
@@ -234,7 +240,7 @@ class Conv2d(Layer):
         ho = conv_out_extent(h, k, self.stride)
         wo = conv_out_extent(w, k, self.stride)
         wmat = self.weight.value.reshape(od, -1)
-        out = np.empty((n, od, ho * wo), dtype=np.result_type(wmat, x))
+        out = np.empty((n, od, ho * wo), dtype=x.dtype)
 
         def lower(frames):
             np.matmul(wmat, im2col(x[frames], k, self.stride), out=out[frames])
@@ -251,11 +257,8 @@ class Conv2d(Layer):
         g = grad_out.reshape(n, od, ho * wo)
         wmat = self.weight.value.reshape(od, -1)
         # each frame's dW product lands in ``dw``; the batch sum comes last
-        dw = np.empty((n,) + wmat.shape, dtype=np.result_type(g, x))
-        dx = np.empty(x.shape, dtype=np.result_type(wmat, g))
-        # rebuilt columns are spent once dW has read them, so the chunk's
-        # column gradient overwrites them in the same cache-sized buffer
-        reuse = dx.dtype == x.dtype
+        dw = np.empty((n,) + wmat.shape, dtype=x.dtype)
+        dx = np.empty(x.shape, dtype=x.dtype)
 
         def lower(frames):
             cols = im2col(x[frames], self.kernel, self.stride)
@@ -266,7 +269,7 @@ class Conv2d(Layer):
                 np.multiply(gf, cols.transpose(0, 2, 1), out=dw[frames])
             else:
                 np.matmul(gf, cols.transpose(0, 2, 1), out=dw[frames])
-            dcols = np.matmul(wmat.T, gf, out=cols if reuse else None)
+            dcols = np.matmul(wmat.T, gf, out=cols)
             dx[frames] = col2im(dcols, (len(gf),) + x.shape[1:], self.kernel, self.stride)
 
         self._each_chunk(x, lower)
@@ -286,13 +289,6 @@ def _select(mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
     float32 gradient it took 3.5 ms against 0.5 ms on a 2-CPU Xeon."""
     bits = np.dtype(f"u{grad.itemsize}")
     return np.bitwise_and(np.subtract(0, mask, dtype=bits), grad.view(bits)).view(grad.dtype)
-
-
-def _pool_offsets(k: int, s: int, ho: int, wo: int) -> list[tuple]:
-    """Index of the element at offset (di, dj) of every k x k window, for
-    each offset in row-major order; each selects an (ho, wo) strided grid."""
-    return [(slice(None), slice(None), slice(di, di + s * ho, s), slice(dj, dj + s * wo, s))
-            for di, dj in (divmod(idx, k) for idx in range(k * k))]
 
 
 class MaxPool2d(Layer):
@@ -327,8 +323,8 @@ class MaxPool2d(Layer):
     def forward(self, x, train):
         h, w = x.shape[2:]
         k, s = self.window, self.stride
-        first, *rest = _pool_offsets(k, s, conv_out_extent(h, k, s),
-                                     conv_out_extent(w, k, s))
+        first, *rest = _window_offsets(k, s, conv_out_extent(h, k, s),
+                                       conv_out_extent(w, k, s))
         out = x[first].copy()
         for at in rest:
             np.maximum(out, x[at], out=out)
@@ -337,7 +333,7 @@ class MaxPool2d(Layer):
 
     def backward(self, grad_out):
         x, out = self._need_cache()
-        offsets = _pool_offsets(self.window, self.stride, out.shape[2], out.shape[3])
+        offsets = _window_offsets(self.window, self.stride, out.shape[2], out.shape[3])
         dx = np.zeros(x.shape, dtype=grad_out.dtype)
         free = np.ones(out.shape, dtype=bool)       # windows not yet routed
         nan_windows = bool(np.isnan(out).any())
@@ -408,30 +404,25 @@ class BatchNorm2d(Layer):
 
     def forward(self, x, train):
         mean = x.mean(axis=(0, 2, 3)) if train else self.running_mean
-        # out = gamma * ((x - mean) * inv) + beta, one step at a time;
-        # ``inv`` never holds a wider dtype than ``x - mean``
+        # out = gamma * ((x - mean) * inv) + beta, one step at a time
         xhat = x - mean[None, :, None, None]
         if train:
             # numpy's ``x.var`` is this very sequence (sum, divide, centre,
             # square, sum, divide), so the variance of the batch centred
             # above has its bits without summing and centring x again
             var = np.square(xhat).mean(axis=(0, 2, 3))
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mean).astype(self.running_mean.dtype)
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var).astype(self.running_var.dtype)
+            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             var = self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv[None, :, None, None]
         gamma = self.gamma.value[None, :, None, None]
         if train:
-            # the cache keeps xhat, and gamma may be wider than x's dtype
+            # the cache keeps xhat, so the product needs an array of its own
             self._cache = (xhat, inv)
             out = gamma * xhat
         else:
-            # x - running_mean has at least the layer's dtype, which gamma
-            # shares, so the product fits in xhat
             self._cache = None
             out = np.multiply(gamma, xhat, out=xhat)
         out += self.beta.value[None, :, None, None]
@@ -445,8 +436,7 @@ class BatchNorm2d(Layer):
         mean_gx = gx.mean(axis=(0, 2, 3), keepdims=True)
         dx = gx * xhat
         mean_gx_xhat = dx.mean(axis=(0, 2, 3), keepdims=True)
-        # dx = inv * (gx - mean_gx - xhat * mean_gx_xhat), one step at a
-        # time in ``dx``, whose dtype is the widest of all its terms
+        # dx = inv * (gx - mean_gx - xhat * mean_gx_xhat), one step at a time in ``dx``
         gx -= mean_gx
         np.multiply(xhat, mean_gx_xhat, out=dx)
         np.subtract(gx, dx, out=dx)

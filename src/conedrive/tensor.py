@@ -1,10 +1,13 @@
 """Array conventions and the trainable-parameter container.
 
 Tensors are plain numpy arrays in row-major layout; image batches use the
-(batch, channel, height, width) axis order. float32 is the working precision
-for training and inference, float64 is used by the gradient-check harness.
-By convention arrays are immutable once handed to a layer: forward/backward
-never write into their inputs, so values can be shared freely across threads.
+(batch, channel, height, width) axis order. A model computes in one dtype,
+its own (float32 to train and serve, float64 to check gradients): its
+forward converts each input, losses return the prediction's dtype and
+``Layer.load_state`` casts checkpoint tensors. A layer called directly
+expects its own dtype. By convention arrays are immutable once handed to a
+layer: forward/backward never write into their inputs, so values can be
+shared freely across threads.
 """
 from __future__ import annotations
 

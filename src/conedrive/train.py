@@ -80,7 +80,7 @@ def sgd_step(model: Model, lr: float) -> None:
             raise DivergenceError(
                 f"non-finite gradient in layer '{node_name}' parameter '{p.name}'"
             )
-        p.value -= (lr * p.grad).astype(p.value.dtype)
+        p.value -= lr * p.grad
 
 
 def _loss_fn(kind: str):

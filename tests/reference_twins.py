@@ -82,10 +82,8 @@ def batchnorm_forward_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarr
     if train:
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        running_mean = ((1 - momentum) * running_mean
-                        + momentum * mean).astype(running_mean.dtype)
-        running_var = ((1 - momentum) * running_var
-                       + momentum * var).astype(running_var.dtype)
+        running_mean = (1 - momentum) * running_mean + momentum * mean
+        running_var = (1 - momentum) * running_var + momentum * var
     else:
         mean = running_mean
         var = running_var

@@ -13,8 +13,8 @@ from conedrive.bench import hardware_description
 from conedrive.checkpoint import save_checkpoint
 from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
                            build_parser, main)
-from conedrive.corpus import (prep_corpus, read_frames_index, read_manifest,
-                              write_corpus, write_manifest)
+from conedrive.corpus import (FRAMES_INDEX, prep_corpus, read_frames_index,
+                              read_manifest, write_corpus, write_manifest)
 from conedrive.data import (MOTOR_SCALE, TELEMETRY_HEADER, format_telemetry,
                             parse_telemetry, scale_records, split_60_20_20)
 from conedrive.errors import DataError
@@ -35,6 +35,57 @@ SPEC_EDITS = {
     "one-class": ("classes=3", "classes=1"),
     "repeated-field": ("stride=2", "stride=1 stride=2"),
     "second-output": ("output head", "output pool1\noutput head"),
+}
+
+
+def first_line(blob: bytes) -> bytes:
+    return blob[:blob.index(b"\n") + 1]
+
+
+def without_seed_line(blob: bytes) -> bytes:
+    at = blob.index(b"\nseed ")
+    return blob[:at] + blob[blob.index(b"\n", at + 1):]
+
+
+def last_tensor_twice(blob: bytes) -> bytes:
+    """A 1CL-1FC checkpoint with its last tensor, head/bias (3 values),
+    stored a second time: its count raised by one and its record repeated."""
+    (n,) = struct.unpack_from("<I", blob, 20)
+    (count,) = struct.unpack_from("<I", blob, 24 + n)
+    record = blob[blob.rindex(b"head/bias") - 2:]
+    return blob[:24 + n] + struct.pack("<I", count + 1) + blob[28 + n:] + record
+
+
+# id: (file, command that reads it, edit of its bytes, start of the error);
+# each edit breaks one check of the file's reader
+MALFORMED_FILES = {
+    "frames-index-header": ("frames_index.tsv", "prep",
+                            lambda b: b.replace(b"frame_index", b"frame", 1),
+                            "bad frames index header"),
+    "frames-index-no-frames": ("frames_index.tsv", "prep", first_line,
+                               "frames index lists no frames"),
+    "manifest-no-seed": ("manifest.tsv", "eval", without_seed_line,
+                         "manifest is missing its seed/dropped header lines"),
+    "telemetry-header": ("telemetry.csv", "prep", lambda b: b"x" + b,
+                         "telemetry header must be"),
+    "telemetry-no-rows": ("telemetry.csv", "prep", first_line,
+                          "telemetry contains no valid rows"),
+    "checkpoint-magic": ("model.ckpt", "eval", lambda b: b"XXXX" + b[4:], "bad magic"),
+    "checkpoint-version": ("model.ckpt", "eval",
+                           lambda b: b[:4] + struct.pack("<I", 9) + b[8:],
+                           "unsupported checkpoint version 9"),
+    "checkpoint-truncated": ("model.ckpt", "eval", lambda b: b[:-1],
+                             "truncated checkpoint while reading"),
+    "checkpoint-tensor-twice": ("model.ckpt", "eval", last_tensor_twice,
+                                "tensor 'head/bias' is stored twice"),
+    "checkpoint-trailing": ("model.ckpt", "eval", lambda b: b + b"\0",
+                            "1 trailing bytes"),
+    "checkpoint-graph": ("model.ckpt", "eval",
+                         lambda b: b.replace(b"stride=2", b"stride=0", 1),
+                         "node 'conv1': stride must be >= 1"),
+    "checkpoint-shape": ("model.ckpt", "eval",
+                         lambda b: b.replace(b"out_depth=8", b"out_depth=7", 1),
+                         "tensor 'conv1/weight' has shape"),
 }
 
 
@@ -516,6 +567,33 @@ class TestCli:
         assert f"manifest.tsv line {line}: malformed manifest line" in \
             capsys.readouterr().err
 
+    @pytest.fixture
+    def run_on_damaged(self, tmp_path, corpus_dir):
+        """A function that rewrites the bytes of one file of a prepared copy
+        of ``corpus_dir`` and a 1CL-1FC checkpoint with ``edit``, runs
+        ``prep`` or ``eval`` on them, and returns (that file's path, the exit
+        code)."""
+        drive, prep = tmp_path / "drive", tmp_path / "prep"
+        shutil.copytree(corpus_dir, drive)
+        telemetry, frames = drive / "telemetry.csv", drive / "frames"
+        assert main(["prep", "--telemetry", str(telemetry), "--frames", str(frames),
+                     "--seed", "0", "--out", str(prep)]) == EXIT_OK
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
+        paths = {"telemetry.csv": telemetry, "frames_index.tsv": frames / FRAMES_INDEX,
+                 "manifest.tsv": prep / "manifest.tsv", "model.ckpt": ckpt}
+        sources = ["--telemetry", str(telemetry), "--frames", str(frames)]
+        argv = {"prep": ["prep", *sources],
+                "eval": ["eval", "--checkpoint", str(ckpt), "--manifest",
+                         str(paths["manifest.tsv"]), *sources, "--batch-size", "4"]}
+
+        def run(name, command, edit):
+            path = paths[name]
+            path.write_bytes(edit(path.read_bytes()))
+            return path, main(argv[command] + ["--out", str(tmp_path / "o")])
+
+        return run
+
     # (file, byte set to 0xff, command that reads it): each byte lies in the
     # file's text, for the checkpoint in its model text
     @pytest.mark.parametrize("name,at,command", [
@@ -525,27 +603,18 @@ class TestCli:
         ("model.ckpt", 40, "eval"),
     ], ids=["telemetry", "frames-index", "manifest", "checkpoint"])
     def test_undecodable_byte_exits_bad_input_naming_its_file(
-            self, tmp_path, corpus_dir, capsys, name, at, command):
-        drive = tmp_path / "drive"
-        shutil.copytree(corpus_dir, drive)
-        telemetry, frames = drive / "telemetry.csv", drive / "frames"
-        assert main(["prep", "--telemetry", str(telemetry), "--frames", str(frames),
-                     "--seed", "0", "--out", str(tmp_path / "prep")]) == EXIT_OK
-        ckpt = tmp_path / "model.ckpt"
-        save_checkpoint(Model(make_discrete_model("1CL-1FC", input_hw=16), seed=0), ckpt)
-        path = {"telemetry.csv": telemetry, "frames_index.tsv": frames / name,
-                "manifest.tsv": tmp_path / "prep" / name, "model.ckpt": ckpt}[name]
-        blob = bytearray(path.read_bytes())
-        blob[at] = 0xFF
-        path.write_bytes(bytes(blob))
-        sources = ["--telemetry", str(telemetry), "--frames", str(frames)]
-        argv = {"prep": ["prep", *sources],
-                "eval": ["eval", "--checkpoint", str(ckpt), "--manifest",
-                         str(tmp_path / "prep" / "manifest.tsv"), *sources,
-                         "--batch-size", "4"]}[command]
-        capsys.readouterr()
-        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+            self, run_on_damaged, capsys, name, at, command):
+        path, code = run_on_damaged(name, command, lambda b: b[:at] + b"\xff" + b[at + 1:])
+        assert code == EXIT_BAD_INPUT
         assert f"{path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,command,edit,says", MALFORMED_FILES.values(),
+                             ids=MALFORMED_FILES)
+    def test_malformed_file_exits_bad_input_naming_it(self, run_on_damaged, capsys,
+                                                      name, command, edit, says):
+        path, code = run_on_damaged(name, command, edit)
+        assert code == EXIT_BAD_INPUT
+        assert f"error: {path}: {says}" in capsys.readouterr().err
 
     @pytest.fixture
     def two_part_eval(self, tmp_path, corpus_dir, monkeypatch):

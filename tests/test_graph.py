@@ -268,6 +268,27 @@ class TestForward:
         np.testing.assert_array_equal(model_a.forward({"image": x}, mode="eval"),
                                       model_b.forward({"image": x}, mode="eval"))
 
+    @pytest.mark.parametrize("model_dtype, fed_dtype", [(np.float32, np.float64),
+                                                         (np.float64, np.float32)])
+    @pytest.mark.parametrize("model_spec", [make_discrete_model("2CL-2FC", input_hw=32),
+                                            make_brake_throttle_model(input_hw=32)],
+                             ids=["discrete", "brake_throttle"])
+    def test_inputs_are_converted_to_the_model_dtype(self, model_spec, model_dtype,
+                                                     fed_dtype):
+        """Every input is converted to the model's dtype where it enters the
+        graph: the output has that dtype and the bytes the converted input
+        gives, in eval and training mode."""
+        model = Model(model_spec, seed=4, dtype=model_dtype)
+        rng = np.random.default_rng(5)
+        fed = {n: rng.uniform(0, 256 if n == "motor" else 1, (3,) + shape).astype(fed_dtype)
+               for n, shape in model_spec.inputs}
+        converted = {n: arr.astype(model_dtype) for n, arr in fed.items()}
+        for mode in ("eval", "train"):
+            got = model.forward(fed, mode=mode)
+            want = model.forward(converted, mode=mode)
+            assert got.dtype == want.dtype == model_dtype
+            assert got.tobytes() == want.tobytes(), mode
+
     @pytest.mark.parametrize("name", sorted(zoo_specs(16)))
     def test_observer_sees_each_step_once_in_plan_order(self, name):
         """Every head: the observer sees each plan step once, in plan order,

@@ -92,8 +92,8 @@ def conv_cases(draw):
 def chunked_conv_cases(draw):
     """(conv, x, grad_out, frames per chunk): batch 1-9 lowered in chunks of
     1 to batch frames, so the chunks divide the batch or leave a shorter
-    tail; kernel 1-5, stride 1-3, layer and input each float32 or float64,
-    and in about half the cases a single output position (P = 1)."""
+    tail; kernel 1-5, stride 1-3, layer and input one dtype, float32 or
+    float64, and in about half the cases a single output position (P = 1)."""
     k = draw(st.integers(1, 5))
     s = draw(st.integers(1, 3))
     n, c, od = (draw(st.integers(1, 9)), draw(st.integers(1, 3)),
@@ -102,14 +102,12 @@ def chunked_conv_cases(draw):
         h, w = k + draw(st.integers(0, s - 1)), k + draw(st.integers(0, s - 1))
     else:
         h, w = draw(st.integers(k, 13)), draw(st.integers(k, 13))
-    dtype, x_dtype = (draw(st.sampled_from([np.float32, np.float64]))
-                      for _ in range(2))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     conv = Conv2d(c, od, k, s, rng, dtype)
-    x = rng.standard_normal((n, c, h, w)).astype(x_dtype)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
     out_shape = (n, od, (h - k) // s + 1, (w - k) // s + 1)
-    return (conv, x, rng.standard_normal(out_shape).astype(np.result_type(dtype, x_dtype)),
-            draw(st.integers(1, n)))
+    return conv, x, rng.standard_normal(out_shape).astype(dtype), draw(st.integers(1, n))
 
 
 def laid_out(a, layout):
@@ -153,10 +151,10 @@ def select_cases(draw):
 @st.composite
 def batchnorm_cases(draw):
     """(layer, x, grad_out, train): batch, channels and H/W 1-5, so a
-    channel may hold a single value (variance zero); the layer float32 or
-    float64 and its input float32 or float64 independently, x offset and
-    scaled per draw; random gamma, beta and running statistics."""
-    dtype, x_dtype = (draw(st.sampled_from([np.float32, np.float64])) for _ in range(2))
+    channel may hold a single value (variance zero); the layer and its input
+    one dtype, float32 or float64; x offset and scaled per draw; random
+    gamma, beta and running statistics."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
     n, c, h, w = (draw(st.integers(1, 5)) for _ in range(4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bn = BatchNorm2d(c, dtype=dtype)
@@ -165,8 +163,8 @@ def batchnorm_cases(draw):
     bn.running_mean = rng.standard_normal(c).astype(dtype)
     bn.running_var = rng.uniform(0.1, 3.0, c).astype(dtype)
     scale, offset = draw(st.sampled_from([(1.0, 0.0), (1e-3, 5.0), (50.0, -20.0)]))
-    x = (rng.standard_normal((n, c, h, w)) * scale + offset).astype(x_dtype)
-    grad = rng.standard_normal(x.shape).astype(np.result_type(dtype, x_dtype))
+    x = (rng.standard_normal((n, c, h, w)) * scale + offset).astype(dtype)
+    grad = rng.standard_normal(x.shape).astype(dtype)
     return bn, x, grad, draw(st.booleans())
 
 
@@ -291,9 +289,8 @@ class TestConv2d:
         want_dx, want_dw, want_db = conv_backward_reference(x, conv.weight.value,
                                                             grad, conv.stride)
         assert_same(dx, want_dx)
-        # parameter gradients are stored in the parameter's dtype
-        assert_same(conv.weight.grad, want_dw.astype(conv.weight.value.dtype))
-        assert_same(conv.bias.grad, want_db.astype(conv.bias.value.dtype))
+        assert_same(conv.weight.grad, want_dw)
+        assert_same(conv.bias.grad, want_db)
 
     @given(chunked_conv_cases())
     @settings(max_examples=150, deadline=None)
@@ -510,8 +507,8 @@ class TestBatchNorm:
             return
         dx, dgamma, dbeta = batchnorm_backward_reference(grad, xhat, inv, bn.gamma.value)
         assert_bytes(bn.backward(grad), dx)
-        assert_bytes(bn.gamma.grad, dgamma.astype(bn.gamma.value.dtype))
-        assert_bytes(bn.beta.grad, dbeta.astype(bn.beta.value.dtype))
+        assert_bytes(bn.gamma.grad, dgamma)
+        assert_bytes(bn.beta.grad, dbeta)
 
     def test_eval_uses_running_stats(self):
         bn = self.make()
