@@ -7,32 +7,3 @@ forward-latency harness.
 """
 
 __version__ = "0.1.0"
-
-from .data import (FramePair, SteeringClass, TelemetryRecord, discretize_steering,
-                   pair_nearest, parse_telemetry, scale_signals, shift_augment,
-                   split_60_20_20)
-from .graph import LayerSpec, Model, ModelSpec
-from .train import TrainConfig, lr_at_epoch, train
-from .zoo import (make_brake_throttle_model, make_discrete_model,
-                  make_realvalue_model)
-
-__all__ = [
-    "FramePair",
-    "LayerSpec",
-    "Model",
-    "ModelSpec",
-    "SteeringClass",
-    "TelemetryRecord",
-    "TrainConfig",
-    "discretize_steering",
-    "lr_at_epoch",
-    "make_brake_throttle_model",
-    "make_discrete_model",
-    "make_realvalue_model",
-    "pair_nearest",
-    "parse_telemetry",
-    "scale_signals",
-    "shift_augment",
-    "split_60_20_20",
-    "train",
-]

@@ -83,10 +83,9 @@ def load_checkpoint(path) -> Model:
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}; not a conedrive checkpoint")
         version, epoch, seed = struct.unpack("<IIQ", _read_exact(fh, 16, "header"))
-        if version > VERSION:
+        if version != VERSION:
             raise CheckpointError(
-                f"unsupported checkpoint version {version} (newest supported: {VERSION})"
-            )
+                f"unsupported checkpoint version {version} (supported: {VERSION})")
         (spec_len,) = struct.unpack("<I", _read_exact(fh, 4, "spec length"))
         spec = ModelSpec.from_text(_read_text(fh, spec_len, "spec text"))
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))

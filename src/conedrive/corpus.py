@@ -185,7 +185,8 @@ def load_pairs(membership_rows, telemetry_path, frames_dir,
     records, _, _ = _read_telemetry(telemetry_path)
     for log_row, _ in membership_rows:
         if not 0 <= log_row < len(records):
-            raise DataError(f"manifest log row {log_row} outside telemetry log")
+            raise DataError(f"{telemetry_path}: manifest log row {log_row} outside "
+                            f"telemetry log of {len(records)} valid rows")
     paths = [os.path.join(frames_dir, frame_filename(frame_index))
              for _, frame_index in membership_rows]
 

@@ -45,16 +45,19 @@ def grad_check_model(model, inputs: dict[str, np.ndarray], loss_fn,
 
     ``loss_fn(output) -> (loss, grad_wrt_output)``. The model runs in
     training mode, so the analytic pass and the probes see the same
-    statistics (batch-norm batch moments included). Each visited
-    coordinate of a graph input or parameter is perturbed in place by
-    +/-H, the loss re-evaluated, and the coordinate restored. Visits a
-    seeded random subset of ``max_coords`` coordinates per tensor so
-    whole-zoo sweeps fit the acceptance time budget; pass
-    ``max_coords=None`` for an exhaustive run.
+    statistics (batch-norm batch moments included). Inputs are probed in
+    copies of the model's dtype, so no probe is lost to float32 rounding
+    and the caller's arrays are never written. Each visited coordinate of
+    an input copy or parameter is perturbed in place by +/-H, the loss
+    re-evaluated, and the coordinate restored. A tensor that no backward
+    reaches has no gradient and is checked against zero. Visits a seeded
+    random subset of ``max_coords`` coordinates per tensor so whole-zoo
+    sweeps fit the acceptance time budget; pass ``max_coords=None`` for an
+    exhaustive run.
     """
+    inputs = {name: np.array(arr, dtype=model.dtype) for name, arr in inputs.items()}
     out = model.forward(inputs, mode="train")
     _, grad_out = loss_fn(out)
-    model.zero_grad()
     input_grads = model.backward(grad_out)
 
     def objective():
@@ -67,6 +70,8 @@ def grad_check_model(model, inputs: dict[str, np.ndarray], loss_fn,
     pick = np.random.default_rng(seed)
     worst = 0.0
     for name, array, grad in targets:
+        if grad is None:
+            grad = np.zeros_like(array)
         for idx in _coords(array.shape, pick, max_coords):
             where = f"{name}{idx}"
             analytic = _finite_or_raise(float(grad[idx]), where)

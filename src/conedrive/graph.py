@@ -280,10 +280,6 @@ class Model:
                 out.append((node.name, p))
         return out
 
-    def zero_grad(self) -> None:
-        for _, p in self.parameters():
-            p.zero_grad()
-
     def node_names(self) -> list[str]:
         return [n.name for n in self.order]
 
@@ -354,9 +350,9 @@ class Model:
     def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Reverse-topological gradient pass; returns gradients w.r.t. inputs.
 
-        Parameter gradients accumulate into each layer's ``Param.grad``. The
-        last forward must have been a training-mode one: each layer refuses
-        a backward without its training cache.
+        Each layer sets its parameters' ``Param.grad``, replacing the last
+        backward's. The last forward must have been a training-mode one:
+        each layer refuses a backward without its training cache.
         """
         grads: list = [None] * len(self._slot)
         grads[self._slot[self.spec.output]] = grad_out

@@ -2,7 +2,7 @@
 
 Each layer owns its parameters and caches, on a training-mode forward,
 exactly what its backward pass needs. ``backward`` consumes the most recent
-training cache, accumulates parameter gradients via ``Param.add_grad`` and
+training cache, sets each parameter's gradient via ``Param.set_grad`` and
 returns the gradient with respect to the layer input. Calling ``backward``
 without a preceding training-mode forward is rejected.
 
@@ -273,8 +273,8 @@ class Conv2d(Layer):
             dx[frames] = col2im(dcols, (len(gf),) + x.shape[1:], self.kernel, self.stride)
 
         self._each_chunk(x, lower)
-        self.weight.add_grad(dw.sum(axis=0).reshape(self.weight.value.shape))
-        self.bias.add_grad(grad_out.sum(axis=(0, 2, 3)))
+        self.weight.set_grad(dw.sum(axis=0).reshape(self.weight.value.shape))
+        self.bias.set_grad(grad_out.sum(axis=(0, 2, 3)))
         return dx
 
 
@@ -430,8 +430,8 @@ class BatchNorm2d(Layer):
 
     def backward(self, grad_out):
         xhat, inv = self._need_cache()
-        self.gamma.add_grad((grad_out * xhat).sum(axis=(0, 2, 3)))
-        self.beta.add_grad(grad_out.sum(axis=(0, 2, 3)))
+        self.gamma.set_grad((grad_out * xhat).sum(axis=(0, 2, 3)))
+        self.beta.set_grad(grad_out.sum(axis=(0, 2, 3)))
         gx = grad_out * self.gamma.value[None, :, None, None]
         mean_gx = gx.mean(axis=(0, 2, 3), keepdims=True)
         dx = gx * xhat
@@ -477,8 +477,8 @@ class Linear(Layer):
 
     def backward(self, grad_out):
         x = self._need_cache()
-        self.weight.add_grad(grad_out.T @ x)
-        self.bias.add_grad(grad_out.sum(axis=0))
+        self.weight.set_grad(grad_out.T @ x)
+        self.bias.set_grad(grad_out.sum(axis=0))
         return grad_out @ self.weight.value
 
 

@@ -19,7 +19,12 @@ DEFAULT_DTYPE = np.float32
 
 
 class Param:
-    """A trainable tensor plus an optional gradient of identical shape."""
+    """A trainable tensor plus an optional gradient of identical shape.
+
+    ``grad`` is None until a backward reaches the parameter. Each backward
+    then replaces it with a freshly computed array, stored without a copy,
+    so gradients never accumulate and nothing zeroes them.
+    """
 
     __slots__ = ("name", "value", "grad")
 
@@ -28,19 +33,13 @@ class Param:
         self.value = value
         self.grad: np.ndarray | None = None
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.value)
-
-    def add_grad(self, g: np.ndarray) -> None:
+    def set_grad(self, g: np.ndarray) -> None:
         if g.shape != self.value.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match parameter "
                 f"'{self.name}' shape {self.value.shape}"
             )
-        if self.grad is None:
-            self.grad = g.astype(self.value.dtype, copy=True)
-        else:
-            self.grad += g
+        self.grad = g
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape})"

@@ -120,7 +120,6 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
                 loss, grad = loss_fn(out, train_targets[idx])
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite training loss {loss!r}")
-                model.zero_grad()
                 model.backward(grad)
                 sgd_step(model, lr)
                 losses.append(loss)

@@ -257,7 +257,6 @@ def test_c09_brake_throttle_dag():
                   "motor": r.uniform(0, 256, (2, 2))}
         y = m.forward(inputs, mode="train")
         _, grad = smooth_l1(y, r.uniform(0, 256, (2, 2)))
-        m.zero_grad()
         input_grads = m.backward(grad)
         both_paths &= np.abs(input_grads["image"]).max() > 0
         both_paths &= np.abs(input_grads["motor"]).max() > 0

@@ -1,4 +1,5 @@
 """Checkpoint round-trips and corruption diagnostics."""
+import re
 import struct
 
 import numpy as np
@@ -89,10 +90,13 @@ def test_future_version_rejected(tmp_path, trained_ish_model):
     path = tmp_path / "model.ckpt"
     save_checkpoint(trained_ish_model, path)
     blob = bytearray(path.read_bytes())
-    blob[4] = 99  # version field follows the 4 magic bytes
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
-        load_checkpoint(path)
+    for version in (99, 0):
+        blob[4] = version  # version field follows the 4 magic bytes
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: unsupported checkpoint "
+                                 f"version {version} "):
+            load_checkpoint(path)
 
 
 def test_distinct_diagnostics_are_distinct(tmp_path, trained_ish_model):

@@ -74,6 +74,9 @@ MALFORMED_FILES = {
     "checkpoint-version": ("model.ckpt", "eval",
                            lambda b: b[:4] + struct.pack("<I", 9) + b[8:],
                            "unsupported checkpoint version 9"),
+    "checkpoint-version-0": ("model.ckpt", "eval",
+                             lambda b: b[:4] + struct.pack("<I", 0) + b[8:],
+                             "unsupported checkpoint version 0"),
     "checkpoint-truncated": ("model.ckpt", "eval", lambda b: b[:-1],
                              "truncated checkpoint while reading"),
     "checkpoint-tensor-twice": ("model.ckpt", "eval", last_tensor_twice,
@@ -615,6 +618,18 @@ class TestCli:
         path, code = run_on_damaged(name, command, edit)
         assert code == EXIT_BAD_INPUT
         assert f"error: {path}: {says}" in capsys.readouterr().err
+
+    def test_log_row_past_the_log_exits_bad_input_naming_the_log(
+            self, run_on_damaged, capsys, tmp_path):
+        def far_test_row(blob):
+            at = blob.index(b"\ntest\t") + len(b"\ntest\t")
+            return blob[:at] + b"99999" + blob[blob.index(b"\t", at):]
+
+        _, code = run_on_damaged("manifest.tsv", "eval", far_test_row)
+        assert code == EXIT_BAD_INPUT
+        telemetry = tmp_path / "drive" / "telemetry.csv"
+        assert (f"error: {telemetry}: manifest log row 99999 outside telemetry log "
+                "of 60 valid rows") in capsys.readouterr().err
 
     @pytest.fixture
     def two_part_eval(self, tmp_path, corpus_dir, monkeypatch):

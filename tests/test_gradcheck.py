@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from conedrive.errors import NumericError
-from conedrive.graph import spec
-from conedrive.layers import BatchNorm2d, Conv2d, Linear
+from conedrive.gradcheck import grad_check_model
+from conedrive.graph import Model, ModelSpec, NodeSpec, spec
+from conedrive.layers import BatchNorm2d, Conv2d, Linear, smooth_l1
+from conedrive.zoo import make_realvalue_model
 from zoo_models import check_layer, check_loss
 
 SEEDS = range(10)
@@ -106,3 +108,33 @@ def test_nonfinite_reported_with_coordinate():
             lambda x: (float(x.sum()), np.full_like(x, np.nan)),
             np.zeros((2, 2)),
         )
+
+
+def test_inputs_are_probed_in_copies_of_the_model_dtype():
+    # a float32 input checks as well as its float64 cast, since a probe of
+    # 1e-7 on a float32 value would be mostly lost to rounding
+    model = Model(make_realvalue_model("3CL-2FC", input_hw=16), seed=0,
+                  dtype=np.float64)
+    x = rng(0).standard_normal((2, 3, 16, 16)).astype(np.float32)
+    target = rng(1).uniform(-60, 60, (2, 1))
+    before = x.tobytes()
+
+    def check(image):
+        return grad_check_model(model, {"image": image},
+                                lambda out: smooth_l1(out, target), max_coords=8)
+
+    assert check(x) == check(x.astype(np.float64))
+    assert x.tobytes() == before
+
+
+def test_a_node_that_feeds_no_output_checks_against_zero():
+    # no backward reaches the dead node, so its parameters keep no gradient
+    model = Model(ModelSpec((("x", (4,)),),
+                            (NodeSpec("out", spec("linear", out_features=3), ("x",)),
+                             NodeSpec("dead", spec("linear", out_features=2), ("x",))),
+                            "out"), dtype=np.float64)
+    w = rng(0).standard_normal((2, 3))
+    err = grad_check_model(model, {"x": rng(1).standard_normal((2, 4))},
+                           lambda out: (float((w * out).sum()), w), max_coords=None)
+    assert err < 1e-6
+    assert model.layers["dead"].weight.grad is None

@@ -345,10 +345,27 @@ class TestBackward:
         model = Model(tiny_dag(), seed=0)
         x = np.random.default_rng(0).standard_normal((2, 1, 5, 5)).astype(np.float32)
         model.forward({"image": x}, mode="train")
-        model.zero_grad()
         model.backward(np.zeros((2, 2), dtype=np.float32))
         for _, p in model.parameters():
             np.testing.assert_array_equal(p.grad, 0.0)
+
+    @pytest.mark.parametrize("name", sorted(zoo_specs(16)))
+    def test_each_backward_sets_the_gradients_afresh(self, name):
+        """Every head: a second backward after one training forward leaves
+        each parameter's gradient with the bytes the first gave it."""
+        model_spec = zoo_specs(16)[name]
+        model = Model(model_spec, seed=1)
+        rng = np.random.default_rng(2)
+        inputs = {n: rng.uniform(0, 256 if n == "motor" else 1, (3,) + shape
+                                 ).astype(np.float32)
+                  for n, shape in model_spec.inputs}
+        out = model.forward(inputs, mode="train")
+        grad_out = rng.standard_normal(out.shape).astype(np.float32)
+        model.backward(grad_out)
+        first = [p.grad.tobytes() for _, p in model.parameters()]
+        model.backward(grad_out)
+        for want, (node, p) in zip(first, model.parameters()):
+            assert p.grad.tobytes() == want, f"{node}.{p.name}"
 
     def test_concat_gradient_splits_by_extents(self):
         model = Model(tiny_dag(), seed=0, dtype=np.float64)
@@ -365,7 +382,6 @@ class TestBackward:
         model = Model(tiny_dag(), seed=1, dtype=np.float64)
         x = np.random.default_rng(5).standard_normal((1, 1, 5, 5))
         out = model.forward({"image": x}, mode="train")
-        model.zero_grad()
         grads = model.backward(np.ones_like(out))
         a, b = model.layers["a"], model.layers["b"]
         join = model.layers["join"]
@@ -425,7 +441,6 @@ class TestBrakeThrottleDag:
         target = rng.uniform(0, 256, (2, 2))
         out = model.forward(inputs, mode="train")
         _, grad = smooth_l1(out, target)
-        model.zero_grad()
         input_grads = model.backward(grad)
         assert np.abs(input_grads["image"]).max() > 0
         assert np.abs(input_grads["motor"]).max() > 0

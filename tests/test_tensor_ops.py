@@ -618,4 +618,4 @@ class TestSoftmaxAndChecks:
     def test_param_gradient_shape_enforced(self):
         p = Param("weight", np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="weight"):
-            p.add_grad(np.zeros((3, 2)))
+            p.set_grad(np.zeros((3, 2)))

@@ -77,12 +77,21 @@ class TestSgdStep:
         sgd_step(model, lr=0.01)
         np.testing.assert_allclose(p.value, 0.995, rtol=1e-12)
 
-    def test_zero_gradient_leaves_parameters(self):
+    def test_zeroed_gradients_leave_parameters(self):
         model = toy_model()
         before = [p.value.copy() for _, p in model.parameters()]
-        model.zero_grad()
+        for _, p in model.parameters():
+            p.grad = np.zeros_like(p.value)
         sgd_step(model, lr=0.1)
         for want, (_, p) in zip(before, model.parameters()):
+            np.testing.assert_array_equal(p.value, want)
+
+    def test_parameters_no_backward_reached_are_skipped(self):
+        model = toy_model()
+        before = [p.value.copy() for _, p in model.parameters()]
+        sgd_step(model, lr=0.1)
+        for want, (_, p) in zip(before, model.parameters()):
+            assert p.grad is None
             np.testing.assert_array_equal(p.value, want)
 
     def test_two_steps_equal_one_summed_step(self):
@@ -104,7 +113,6 @@ class TestSgdStep:
 
     def test_nonfinite_gradient_names_layer(self):
         model = toy_model()
-        model.zero_grad()
         node, p = model.parameters()[2]
         p.grad = np.full_like(p.value, np.nan)
         with pytest.raises(DivergenceError, match=node):
@@ -201,8 +209,8 @@ class TestTrainLoop:
         def twin_backward(self, grad_out):
             dx, dgamma, dbeta = batchnorm_backward_reference(
                 grad_out, *self._need_cache(), self.gamma.value)
-            self.gamma.add_grad(dgamma)
-            self.beta.add_grad(dbeta)
+            self.gamma.set_grad(dgamma)
+            self.beta.set_grad(dbeta)
             return dx
 
         def run():
