@@ -8,7 +8,7 @@ Layout (all integers little-endian):
     u64      model RNG seed
     u32      spec text length, then that many UTF-8 bytes (ModelSpec text)
     u32      tensor count
-    per tensor, in topological order:
+    per tensor, in the model's node order:
         u16  qualified name length, then UTF-8 name ("node/param")
         u8   rank, then rank * u32 dims
         raw float32 little-endian payload (prod(dims) * 4 bytes)
@@ -20,6 +20,7 @@ hold exactly the model's tensors, each once, and nothing after the last.
 from __future__ import annotations
 
 import io
+import os
 import struct
 
 import numpy as np
@@ -32,21 +33,31 @@ VERSION = 1
 
 
 def save_checkpoint(model: Model, path) -> None:
+    """Write ``model`` to ``path`` whole or not at all: the bytes go to
+    ``<path>.tmp``, which then replaces ``path``; a failed write removes it
+    and leaves any earlier file at ``path`` as it was."""
     spec_text = model.spec.to_text().encode("utf-8")
     tensors = model.state_tensors()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIQ", VERSION, model.epoch, model.seed))
-        fh.write(struct.pack("<I", len(spec_text)))
-        fh.write(spec_text)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, value in tensors:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<IIQ", VERSION, model.epoch, model.seed))
+            fh.write(struct.pack("<I", len(spec_text)))
+            fh.write(spec_text)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name, value in tensors:
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", value.ndim))
+                fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
+                fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

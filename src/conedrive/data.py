@@ -278,14 +278,15 @@ BRAKE_THROTTLE_CHANNELS = ("brake", "throttle")
 
 
 def brake_throttle_arrays(pairs):
-    """(inputs, targets) arrays for the brake/throttle task; motor speeds are
-    the scaled (left, right) pair, target columns follow
+    """(inputs, targets) arrays for the brake/throttle task; "motor" is the
+    scaled (left, right) speed pair as a fraction of full scale
+    (``PEDAL_RANGE[1]``), and the target columns follow
     ``BRAKE_THROTTLE_CHANNELS``."""
     x = np.stack([p.image for p in pairs]).astype(np.float32, copy=False)
     motor = np.array(
         [[p.record.left_motor_speed, p.record.right_motor_speed] for p in pairs],
         dtype=np.float32,
-    )
+    ) / np.float32(PEDAL_RANGE[1])
     y = np.array([[getattr(p.record, c) for c in BRAKE_THROTTLE_CHANNELS]
                   for p in pairs], dtype=np.float32)
     return {"image": x, "motor": motor}, y

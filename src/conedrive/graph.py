@@ -1,16 +1,16 @@
 """Layer-graph representation and execution.
 
-A ``ModelSpec`` is a DAG of ``LayerSpec`` nodes over named entry points
-("image" and, for the brake/throttle network, "motor"). A ``Model`` infers
-every node's shape once, through its kind's ``infer_shape``, which is the
-only check of hyper-parameters and input shapes: a malformed spec raises
-``GraphError`` there, before any layer is built. It then instantiates one
-layer object per node with seeded parameters, compiles the graph into a
-flat plan, and runs plan-order forwards and reverse-order backwards. Nodes
-feeding several consumers receive the sum of the incoming gradients. At
-run time it checks only the arrays it is given and that each node produced
-the shape inference promised. Everything specific to a layer kind lives on
-its class in ``layers`` (see ``layers.LAYER_KINDS``).
+A ``ModelSpec`` lists ``LayerSpec`` nodes over named entry points ("image"
+and, for the brake/throttle network, "motor") in run order, each feeding
+the output. A ``Model`` infers every node's shape once, through its kind's
+``infer_shape``, the only check of hyper-parameters and input shapes: a
+malformed spec raises ``GraphError`` there, before any layer is built. It
+then instantiates one layer per node with seeded parameters, compiles the
+nodes into a flat plan, and runs plan-order forwards and reverse-order
+backwards. Nodes feeding several consumers receive the sum of the incoming
+gradients. At run time it checks only the arrays it is given and that each
+node produced the shape inference promised. Everything specific to a layer
+kind lives on its class in ``layers`` (see ``layers.LAYER_KINDS``).
 
 Specs serialize to a line-oriented text form used inside checkpoints::
 
@@ -79,7 +79,10 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Named entry points (batchless shapes), nodes, and the single exit node."""
+    """Named entry points (batchless shapes), nodes in run order, and the
+    exit node. A node reads only entry points and nodes listed before it,
+    and every node and entry point lies on a path to the output (so it is
+    the last node); a spec breaking either rule raises ``GraphError``."""
 
     inputs: tuple[tuple[str, tuple[int, ...]], ...]
     nodes: tuple[NodeSpec, ...]
@@ -97,8 +100,16 @@ class ModelSpec:
             raise GraphError("model has no nodes")
         if self.output not in set(node_names):
             raise GraphError(f"output node '{self.output}' is not defined")
-        self.topo_order()
+        ready = set(input_names)
         for node in self.nodes:
+            for src in node.inputs:
+                if src not in ready:
+                    raise GraphError(
+                        f"node '{node.name}' reads '{src}' before it is listed; "
+                        "nodes run in listed order, so a spec holds no cycle"
+                        if src in seen else
+                        f"node '{node.name}' references unknown input '{src}'")
+            ready.add(node.name)
             if not node.inputs:
                 raise GraphError(f"node '{node.name}' has no inputs")
             arity = len(node.inputs)
@@ -110,34 +121,17 @@ class ModelSpec:
                 raise GraphError(
                     f"node '{node.name}' ({node.layer.kind}) takes exactly one input"
                 )
+        live = {self.output}
+        for node in reversed(self.nodes):
+            if node.name in live:
+                live.update(node.inputs)
+        for name in input_names + node_names:
+            if name not in live:
+                raise GraphError(f"'{name}' feeds no output; every input and node "
+                                 f"must lie on a path to output '{self.output}'")
 
     def topo_order(self) -> tuple[NodeSpec, ...]:
-        """Kahn topological order; rejects cycles and unreachable nodes."""
-        ready = {name for name, _ in self.inputs}
-        by_name = {n.name: n for n in self.nodes}
-        for node in self.nodes:
-            for src in node.inputs:
-                if src not in by_name and src not in ready:
-                    raise GraphError(
-                        f"node '{node.name}' references unknown input '{src}'"
-                    )
-        pending = list(self.nodes)
-        order: list[NodeSpec] = []
-        while pending:
-            progressed = False
-            remaining = []
-            for node in pending:
-                if all(src in ready for src in node.inputs):
-                    order.append(node)
-                    ready.add(node.name)
-                    progressed = True
-                else:
-                    remaining.append(node)
-            pending = remaining
-            if not progressed:
-                names = sorted(n.name for n in pending)
-                raise GraphError(f"graph has a cycle or unreachable nodes: {names}")
-        return tuple(order)
+        return self.nodes
 
     def infer_shapes(self) -> dict[str, tuple[int, ...]]:
         """Batchless output shape per node; raises on any inconsistency."""
@@ -146,7 +140,7 @@ class ModelSpec:
             if min(shape, default=0) < 1:
                 raise GraphError(f"input '{name}' has shape {shape}; every "
                                  "extent must be >= 1")
-        for node in self.topo_order():
+        for node in self.nodes:
             ins = [shapes[src] for src in node.inputs]
             shapes[node.name] = node.layer.layer_class.infer_shape(
                 node.name, dict(node.layer.hyper), ins)
@@ -226,7 +220,7 @@ class Model:
     """An instantiated ModelSpec: seeded parameters plus execution state.
 
     The spec compiles once into ``plan``: graph inputs hold value slots
-    0..k-1 in spec order, then each node in topological order the next one.
+    0..k-1 in spec order, then each node in listed order the next one.
     A forward drops each node's value once its last reader has run (the
     output's never), so a forward holds only the values still to be read.
 
@@ -244,7 +238,7 @@ class Model:
         self.dtype = dtype
         self.epoch = 0
         self.shapes = spec.infer_shapes()
-        self.order = spec.topo_order()
+        self.order = spec.nodes
         rng = np.random.default_rng(seed)
         self.layers: dict[str, L.Layer] = {}
         self._slot = {name: i for i, (name, _) in enumerate(spec.inputs)}
@@ -259,18 +253,16 @@ class Model:
                                  tuple(self._slot[src] for src in node.inputs),
                                  self._slot[node.name], self.shapes[node.name],
                                  cls.multi_input))
-        # the step after which no later one reads each slot; a node read by
-        # none (the output aside) is spent as soon as it is made
+        # the step after which no later one reads each slot
         last = {}
         for i, step in enumerate(plan):
-            last.update(dict.fromkeys(step.srcs + (step.slot,), i))
-        last.pop(self._slot[spec.output])
+            last.update(dict.fromkeys(step.srcs, i))
         spent = {}
         for slot, i in last.items():
             spent.setdefault(i, []).append(slot)
         self.plan = tuple(replace(step, spent=tuple(spent.get(i, ())))
                           for i, step in enumerate(plan))
-        self.output_node = next(n for n in self.order if n.name == spec.output)
+        self.output_node = spec.nodes[-1]
         self.output_kind = self.output_node.layer.kind
 
     def parameters(self) -> list[tuple[str, "L.Param"]]:
@@ -348,9 +340,9 @@ class Model:
         return values[self._slot[self.spec.output]]
 
     def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Reverse-topological gradient pass; returns gradients w.r.t. inputs.
-
-        Each layer sets its parameters' ``Param.grad``, replacing the last
+        """Gradient pass in reverse listed order; returns gradients w.r.t.
+        inputs. Every node feeds the output, so every layer runs a backward
+        and sets its parameters' ``Param.grad``, replacing the last
         backward's. The last forward must have been a training-mode one:
         each layer refuses a backward without its training cache.
         """
@@ -358,8 +350,6 @@ class Model:
         grads[self._slot[self.spec.output]] = grad_out
         for step in reversed(self.plan):
             g = grads[step.slot]
-            if g is None:
-                continue
             grads[step.slot] = None
             gi = step.layer.backward(g)
             parts = gi if step.multi_input else [gi]
@@ -368,7 +358,7 @@ class Model:
         return {name: grads[self._slot[name]] for name, _ in self.spec.inputs}
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """(qualified name, tensor) pairs in topological order, for checkpoints."""
+        """(qualified name, tensor) pairs in node order, for checkpoints."""
         out = []
         for node in self.order:
             for name, value in self.layers[node.name].state():

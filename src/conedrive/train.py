@@ -72,14 +72,18 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 
 def sgd_step(model: Model, lr: float) -> None:
-    """p <- p - lr * g for every parameter; no momentum, no weight decay."""
-    for node_name, p in model.parameters():
-        if p.grad is None:
-            continue
+    """p <- p - lr * g for every parameter; no momentum, no weight decay.
+
+    All or nothing: every gradient is checked before any parameter moves.
+    A parameter with no gradient yet (no backward has run) is left as is."""
+    params = [(node_name, p) for node_name, p in model.parameters()
+              if p.grad is not None]
+    for node_name, p in params:
         if not np.all(np.isfinite(p.grad)):
             raise DivergenceError(
                 f"non-finite gradient in layer '{node_name}' parameter '{p.name}'"
             )
+    for _, p in params:
         p.value -= lr * p.grad
 
 

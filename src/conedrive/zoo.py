@@ -125,8 +125,9 @@ def make_realvalue_model(name: str, filters=None, strides=None,
 
 def make_brake_throttle_model(input_hw: int = 256) -> ModelSpec:
     """Multi-parent DAG: image conv features concatenated with the scaled
-    (left, right) motor-speed pair ahead of the controller FC layers; the
-    two-node output passes through a sigmoid scaled to the 0..256 range."""
+    (left, right) motor-speed pair, as a fraction of full scale (0..1), ahead
+    of the controller FC layers; the two-node output passes through a
+    sigmoid scaled to the 0..256 range."""
     nodes = _backbone("brake_throttle", 4, input_hw, None, None)
     nodes.append(NodeSpec("join", spec("concat"), ("flat", "motor")))
     src = _fc_stack(nodes, "join", (1024, 100))

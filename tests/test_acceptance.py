@@ -11,15 +11,15 @@ import pytest
 
 from conedrive.bench import bench_forward
 from conedrive.checkpoint import load_checkpoint, save_checkpoint
-from conedrive.data import (FramePair, TelemetryRecord, build_mixed_set,
-                            classification_arrays, discretize_steering,
+from conedrive.data import (FramePair, TelemetryRecord, brake_throttle_arrays,
+                            build_mixed_set, classification_arrays, discretize_steering,
                             pair_nearest, regression_arrays, shift_augment,
                             split_60_20_20)
 from conedrive.errors import CheckpointError, GraphError
 from conedrive.gradcheck import grad_check_model
 from conedrive.graph import Model, spec
 from conedrive.layers import Conv2d, Linear, smooth_l1, softmax_cross_entropy
-from conedrive.metrics import ConfusionMatrix, eval_regression
+from conedrive.metrics import ConfusionMatrix, eval_regression, predict
 from conedrive.overlay import (ACTUAL_COLOR, BAR_FULL_W, BAR_ROWS, BAR_X0,
                                DIAL_CENTER, NEEDLE_LEN, render_overlay)
 from conedrive.synth import synth_track_dataset
@@ -363,3 +363,28 @@ def test_c13_confusion_matrix_identity():
             accs.append(float(np.mean(true == pred)))
         ok &= abs(confusion.accuracy - float(np.mean(accs))) < 1e-12
     report(13, "trace/sum equals mean per-batch accuracy on full batches", ok)
+
+
+def test_c14_brake_throttle_learns():
+    # the criterion was fixed before the motor fix (seeds, epochs, margin):
+    # test-split L1 at most 0.6x the train-mean predictor's, <= 5% of
+    # outputs within 1e-3 of the sigmoid's bounds 0 and 256
+    t0 = time.time()
+    ratios, saturated = [], []
+    for seed in range(3):
+        split = split_60_20_20(synth_track_dataset(600, image_size=32, seed=seed), seed)
+        train_data, val_data, (inputs, targets) = (
+            brake_throttle_arrays(pairs)
+            for pairs in (split.train, split.validation, split.test))
+        model = Model(make_brake_throttle_model(input_hw=32), seed=seed)
+        train(model, train_data, val_data,
+              TrainConfig(batch_size=16, epochs=20, seed=seed, loss="smooth_l1"))
+        out = predict(model, inputs, len(targets))
+        mean_l1 = np.abs(train_data[1].mean(axis=0) - targets).mean()
+        ratios.append(np.abs(out - targets).mean() / mean_l1)
+        saturated.append(np.mean((out < 1e-3) | (out > 256.0 - 1e-3)))
+    elapsed = time.time() - t0
+    report(14, f"brake/throttle 32x32, 20 epochs, seeds 0-2: test L1 / train-mean "
+               f"L1 {', '.join(f'{r:.2f}' for r in ratios)} <= 0.6, saturated "
+               f"{max(saturated):.1%} <= 5%",
+           max(ratios) <= 0.6 and max(saturated) <= 0.05 and elapsed < 120, elapsed)

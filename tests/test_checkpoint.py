@@ -179,3 +179,17 @@ def test_tensor_shape_must_match_the_model(tmp_path, trained_ish_model, name):
 
 def test_magic_constant():
     assert MAGIC == b"FSPT"
+
+
+def test_a_failed_save_leaves_the_earlier_checkpoint(tmp_path, trained_ish_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained_ish_model, path)
+    before = path.read_bytes()
+    # the last tensor cannot be encoded as float32, so the save fails partway
+    state = trained_ish_model.state_tensors()
+    trained_ish_model.state_tensors = lambda: state + [
+        ("bad/weight", np.array(["not a number"], dtype=object))]
+    with pytest.raises(ValueError):
+        save_checkpoint(trained_ish_model, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

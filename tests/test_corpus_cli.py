@@ -38,6 +38,15 @@ SPEC_EDITS = {
 }
 
 
+def edit_model_text(blob: bytes, old: str, new: str) -> bytes:
+    """A checkpoint with ``old`` replaced by ``new`` in its model text, which
+    follows the magic, 16 header bytes and its u32 length."""
+    (n,) = struct.unpack_from("<I", blob, 20)
+    assert old.encode() in blob[24:24 + n]
+    text = blob[24:24 + n].replace(old.encode(), new.encode())
+    return blob[:20] + struct.pack("<I", len(text)) + text + blob[24 + n:]
+
+
 def first_line(blob: bytes) -> bytes:
     return blob[:blob.index(b"\n") + 1]
 
@@ -86,6 +95,10 @@ MALFORMED_FILES = {
     "checkpoint-graph": ("model.ckpt", "eval",
                          lambda b: b.replace(b"stride=2", b"stride=0", 1),
                          "node 'conv1': stride must be >= 1"),
+    "checkpoint-dead-node": ("model.ckpt", "eval",
+                             lambda b: edit_model_text(
+                                 b, "output head", "node dead relu in=flat\noutput head"),
+                             "'dead' feeds no output"),
     "checkpoint-shape": ("model.ckpt", "eval",
                          lambda b: b.replace(b"out_depth=8", b"out_depth=7", 1),
                          "tensor 'conv1/weight' has shape"),
@@ -512,12 +525,7 @@ class TestCli:
         if case == "trailing-bytes":
             blob += b"\0"
         elif case in SPEC_EDITS:
-            # the spec text follows the magic, 16 header bytes and its u32 length
-            (n,) = struct.unpack_from("<I", blob, 20)
-            old, new = (part.encode() for part in SPEC_EDITS[case])
-            assert old in blob[24:24 + n]
-            text = blob[24:24 + n].replace(old, new)
-            blob = blob[:20] + struct.pack("<I", len(text)) + text + blob[24 + n:]
+            blob = edit_model_text(blob, *SPEC_EDITS[case])
         ckpt.write_bytes(blob)
         code = main(["eval", "--checkpoint", str(ckpt), "--synth", "40",
                      "--batch-size", "4", "--out", str(tmp_path / "o")])

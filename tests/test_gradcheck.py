@@ -13,7 +13,7 @@ import pytest
 
 from conedrive.errors import NumericError
 from conedrive.gradcheck import grad_check_model
-from conedrive.graph import Model, ModelSpec, NodeSpec, spec
+from conedrive.graph import Model, spec
 from conedrive.layers import BatchNorm2d, Conv2d, Linear, smooth_l1
 from conedrive.zoo import make_realvalue_model
 from zoo_models import check_layer, check_loss
@@ -125,16 +125,3 @@ def test_inputs_are_probed_in_copies_of_the_model_dtype():
 
     assert check(x) == check(x.astype(np.float64))
     assert x.tobytes() == before
-
-
-def test_a_node_that_feeds_no_output_checks_against_zero():
-    # no backward reaches the dead node, so its parameters keep no gradient
-    model = Model(ModelSpec((("x", (4,)),),
-                            (NodeSpec("out", spec("linear", out_features=3), ("x",)),
-                             NodeSpec("dead", spec("linear", out_features=2), ("x",))),
-                            "out"), dtype=np.float64)
-    w = rng(0).standard_normal((2, 3))
-    err = grad_check_model(model, {"x": rng(1).standard_normal((2, 4))},
-                           lambda out: (float((w * out).sum()), w), max_coords=None)
-    assert err < 1e-6
-    assert model.layers["dead"].weight.grad is None

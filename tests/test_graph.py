@@ -65,6 +65,24 @@ class TestModelSpecValidation:
         with pytest.raises(GraphError, match="duplicate"):
             ModelSpec((("image", (1, 4, 4)),), nodes, "a")
 
+    @pytest.mark.parametrize("inputs, nodes, says", [
+        # a second linear beside the output would run on every forward and
+        # never train
+        ((("x", (4,)),), (NodeSpec("a", spec("linear", out_features=3), ("x",)),
+                          NodeSpec("dead", spec("linear", out_features=2), ("x",))),
+         "'dead' feeds no output"),
+        ((("image", (1, 4, 4)), ("motor", (2,))),
+         (NodeSpec("a", spec("relu"), ("image",)),), "'motor' feeds no output"),
+        ((("image", (1, 4, 4)),),
+         (NodeSpec("b", spec("relu"), ("c",)), NodeSpec("c", spec("relu"), ("image",)),
+          NodeSpec("a", spec("concat"), ("b", "c"))),
+         "node 'b' reads 'c' before it is listed"),
+    ], ids=["dead-node", "unused-input", "listed-before-its-source"])
+    def test_spec_outside_run_order_or_off_the_output_path_rejected(
+            self, inputs, nodes, says):
+        with pytest.raises(GraphError, match=says):
+            ModelSpec(inputs, nodes, "a")
+
     def test_missing_output_rejected(self):
         nodes = (NodeSpec("a", spec("relu"), ("image",)),)
         with pytest.raises(GraphError, match="output node"):
@@ -142,12 +160,14 @@ HYPER_CASES = {
 
 
 def probe_text(kind: str, hyper: dict) -> str:
-    """Model text whose output node "probe" is one ``kind`` layer."""
+    """Model text whose output node "probe" is one ``kind`` layer; it holds
+    the "motor" input and the "flat" node only where the probe reads them."""
     src = {"linear": "flat", "softmax_head": "flat", "concat": "flat,motor"}.get(kind, "image")
     fields = "".join(f" {key}={value}" for key, value in hyper.items())
-    return ("conedrive-model v1\ninput image 2x6x6\ninput motor 2\n"
-            "node flat flatten in=image\n"
-            f"node probe {kind} in={src}{fields}\noutput probe\n")
+    return ("conedrive-model v1\ninput image 2x6x6\n"
+            + ("input motor 2\n" if "motor" in src else "")
+            + ("node flat flatten in=image\n" if "flat" in src else "")
+            + f"node probe {kind} in={src}{fields}\noutput probe\n")
 
 
 class TestHyperValidation:

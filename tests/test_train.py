@@ -111,6 +111,18 @@ class TestSgdStep:
         for (_, pa), (_, pb) in zip(a.parameters(), b.parameters()):
             np.testing.assert_allclose(pa.value, pb.value, rtol=1e-12)
 
+    def test_a_nonfinite_gradient_moves_no_parameter(self):
+        model = Model(make_realvalue_model("3CL-2FC", input_hw=16), seed=0)
+        params = model.parameters()
+        for _, p in params:
+            p.grad = np.ones_like(p.value)
+        node, last = params[-1]
+        last.grad.flat[0] = np.nan
+        before = [p.value.tobytes() for _, p in params]
+        with pytest.raises(DivergenceError, match=f"'{node}' parameter '{last.name}'"):
+            sgd_step(model, 0.01)
+        assert [p.value.tobytes() for _, p in params] == before
+
     def test_nonfinite_gradient_names_layer(self):
         model = toy_model()
         node, p = model.parameters()[2]
