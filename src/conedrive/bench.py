@@ -108,7 +108,7 @@ def bench_forward(model: Model, warmup: int = 50, iters: int = 1000,
     for _ in range(warmup):
         model.forward(inputs, mode="eval")
 
-    per_node = {name: [] for name in model.node_names()}
+    per_node = {name: [] for name in model.layers}
 
     def record(name, out, elapsed_ns):
         per_node[name].append(elapsed_ns)

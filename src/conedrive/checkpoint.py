@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,32 +33,39 @@ MAGIC = b"FSPT"
 VERSION = 1
 
 
-def save_checkpoint(model: Model, path) -> None:
-    """Write ``model`` to ``path`` whole or not at all: the bytes go to
-    ``<path>.tmp``, which then replaces ``path``; a failed write removes it
-    and leaves any earlier file at ``path`` as it was."""
-    spec_text = model.spec.to_text().encode("utf-8")
-    tensors = model.state_tensors()
+@contextmanager
+def replacing(path, mode: str = "wb"):
+    """A file written whole or not at all: the block writes ``<path>.tmp``,
+    which then replaces ``path``; a block that raises removes it and leaves
+    any earlier file at ``path`` as it was."""
     tmp = f"{os.fspath(path)}.tmp"
-    fh = open(tmp, "wb")
+    fh = open(tmp, mode)
     try:
         with fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<IIQ", VERSION, model.epoch, model.seed))
-            fh.write(struct.pack("<I", len(spec_text)))
-            fh.write(spec_text)
-            fh.write(struct.pack("<I", len(tensors)))
-            for name, value in tensors:
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", value.ndim))
-                fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-                fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def save_checkpoint(model: Model, path) -> None:
+    """Write ``model`` to ``path`` whole or not at all (see ``replacing``)."""
+    spec_text = model.spec.to_text().encode("utf-8")
+    tensors = model.state_tensors()
+    with replacing(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<IIQ", VERSION, model.epoch, model.seed))
+        fh.write(struct.pack("<I", len(spec_text)))
+        fh.write(spec_text)
+        fh.write(struct.pack("<I", len(tensors)))
+        for name, value in tensors:
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", value.ndim))
+            fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
+            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

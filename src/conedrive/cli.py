@@ -24,7 +24,7 @@ frames, so a --checkpoint of another size is a usage error. ``train
 where it is given (--telemetry with --synth, say) is a usage error naming
 the flag, reported before any frame is synthesized or decoded; so is an
 augment --shift-range of at least --image-size, and (before anything is
-written) a --mixed-size the train split cannot fill. A --synth N below
+written) a --mixed-size the test split cannot fill. A --synth N below
 ``synth.MIN_FRAMES``, an --image-size below 1, a non-finite --k and a negative
 --seed, --limit, --shift-range or --mixed-size are refused while parsing.
 """
@@ -53,7 +53,7 @@ from .metrics import (eval_classification, eval_regression, export_activations,
 from .overlay import CAMERA_SIZE, Prediction, render_sequence
 from .synth import MIN_FRAMES, synth_track_dataset
 from .train import (DEFAULT_FILTER_GRID, DEFAULT_STRIDE_GRID, TrainConfig,
-                    grid_search, train, write_grid_table, write_history)
+                    TrainResult, grid_search, train, write_grid_table, write_history)
 from .zoo import (make_brake_throttle_model, make_discrete_model,
                   make_realvalue_model)
 
@@ -265,18 +265,25 @@ def cmd_train(args) -> int:
     train_data = _arrays_for(task, split["train"])
     val_data = _arrays_for(task, split["val"])
     metric = "val_acc" if loss == "cross_entropy" else "val_l1"
-    result = train(model, train_data, val_data, config,
-                   log=lambda s: print(
-                       f"epoch {s.epoch}: lr={s.lr:.6f} train_loss={s.train_loss:.5f} "
-                       f"{metric}={s.val_metric:.5f} ({s.seconds:.1f}s)"))
-    write_history(os.path.join(args.out, "history.tsv"), result, config)
-    ckpt = os.path.join(args.out, "model.ckpt")
-    save_checkpoint(model, ckpt)
     with open(os.path.join(args.out, "model.txt"), "w") as fh:
         fh.write(model.spec.to_text())
-    print(f"checkpoint: {ckpt}")
+    ckpt = os.path.join(args.out, "model.ckpt")
+    done = TrainResult()
+
+    def end_epoch(s):
+        # a run that stops later keeps this epoch's model and history
+        print(f"epoch {s.epoch}: lr={s.lr:.6f} train_loss={s.train_loss:.5f} "
+              f"{metric}={s.val_metric:.5f} ({s.seconds:.1f}s)")
+        done.history.append(s)
+        save_checkpoint(model, ckpt)
+        write_history(os.path.join(args.out, "history.tsv"), done, config)
+
+    result = train(model, train_data, val_data, config, log=end_epoch)
     if result.diverged:
-        raise DivergenceError(result.divergence_reason)
+        kept = (f"{ckpt} holds the model at the end of epoch {done.history[-1].epoch}"
+                if done.history else "no epoch completed, so no checkpoint was written")
+        raise DivergenceError(f"{result.divergence_reason}; {kept}")
+    print(f"checkpoint: {ckpt}")
     return EXIT_OK
 
 
@@ -319,13 +326,19 @@ def cmd_augment(args) -> int:
     if args.shift_range >= args.image_size:
         raise ValueError(f"--shift-range {args.shift_range} must be below the "
                          f"frame width --image-size {args.image_size}")
-    pairs = _load_split(args, ("train",), args.image_size)["train"]
+    split = _load_split(args, ("train", "test"), args.image_size)
     rng = np.random.default_rng(args.seed)
-    shifts = rng.integers(-args.shift_range, args.shift_range + 1, size=len(pairs))
-    shifted = [shift_augment(p, int(s), args.k) for p, s in zip(pairs, shifts)]
+
+    def shift(pairs):
+        shifts = rng.integers(-args.shift_range, args.shift_range + 1, size=len(pairs))
+        return [shift_augment(p, int(s), args.k) for p, s in zip(pairs, shifts)]
+
+    # the train split's shifts are drawn first, the held-out mix's after
+    shifted = shift(split["train"])
     if args.mixed_size:
         try:
-            mixed = build_mixed_set(pairs, shifted, args.mixed_size, args.seed)
+            mixed = build_mixed_set(split["test"], shift(split["test"]),
+                                    args.mixed_size, args.seed)
         except DataError as exc:
             raise ValueError(f"--mixed-size {args.mixed_size}: {exc}") from None
     aug_dir = os.path.join(args.out, "augmented")
@@ -336,7 +349,7 @@ def cmd_augment(args) -> int:
         write_corpus(mixed, mixed_dir)
         n_normal, n_shifted = mixed_split(args.mixed_size)
         print(f"mixed evaluation set ({n_normal} normal / {n_shifted} shifted) "
-              f"written to {mixed_dir}")
+              f"from the test split written to {mixed_dir}")
     return EXIT_OK
 
 

@@ -19,6 +19,8 @@ Specs serialize to a line-oriented text form used inside checkpoints::
     node conv1 conv in=image out_depth=8 kernel=5 stride=2
     ...
     output head
+
+The output is the last node, and the ``output`` line must name it.
 """
 from __future__ import annotations
 
@@ -79,14 +81,17 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Named entry points (batchless shapes), nodes in run order, and the
-    exit node. A node reads only entry points and nodes listed before it,
-    and every node and entry point lies on a path to the output (so it is
-    the last node); a spec breaking either rule raises ``GraphError``."""
+    """Named entry points (batchless shapes) and nodes in run order; the
+    last node is the output. A node reads only entry points and nodes listed
+    before it, and every node and entry point lies on a path to the output;
+    a spec breaking either rule raises ``GraphError``."""
 
     inputs: tuple[tuple[str, tuple[int, ...]], ...]
     nodes: tuple[NodeSpec, ...]
-    output: str
+
+    @property
+    def output(self) -> str:
+        return self.nodes[-1].name
 
     def __post_init__(self):
         input_names = [n for n, _ in self.inputs]
@@ -98,8 +103,6 @@ class ModelSpec:
             seen.add(name)
         if not self.nodes:
             raise GraphError("model has no nodes")
-        if self.output not in set(node_names):
-            raise GraphError(f"output node '{self.output}' is not defined")
         ready = set(input_names)
         for node in self.nodes:
             for src in node.inputs:
@@ -198,21 +201,22 @@ class ModelSpec:
                 raise GraphError(f"malformed model text at line {lineno}: {line!r}") from exc
         if output is None:
             raise GraphError("model text is missing an 'output' line")
-        return ModelSpec(tuple(inputs), tuple(nodes), output)
+        if nodes and output != nodes[-1].name:
+            raise GraphError(f"output '{output}' is not the last node "
+                             f"'{nodes[-1].name}'; a spec's output is its last node")
+        return ModelSpec(tuple(inputs), tuple(nodes))
 
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One compiled node: its layer, where its inputs are read from, the value
-    slot it writes, the batchless output shape inference promised, and the
-    slots no later step reads, which a forward drops once this step has run."""
+    """One compiled node: its layer, the value slots its inputs are read
+    from (see ``Model``), the batchless output shape inference promised, and
+    the slots no later step reads, which a forward drops once it has run."""
 
     name: str
     layer: L.Layer
     srcs: tuple[int, ...]
-    slot: int
     shape: tuple[int, ...]
-    multi_input: bool
     spent: tuple[int, ...] = ()
 
 
@@ -220,9 +224,9 @@ class Model:
     """An instantiated ModelSpec: seeded parameters plus execution state.
 
     The spec compiles once into ``plan``: graph inputs hold value slots
-    0..k-1 in spec order, then each node in listed order the next one.
-    A forward drops each node's value once its last reader has run (the
-    output's never), so a forward holds only the values still to be read.
+    0..k-1 in spec order and node i slot k+i. A forward drops each node's
+    value once its last reader has run (the output's never), so a forward
+    holds only the values still to be read.
 
     An eval-mode forward writes nothing a result depends on: each layer
     only clears its training cache. One instance may therefore run eval
@@ -241,18 +245,17 @@ class Model:
         self.order = spec.nodes
         rng = np.random.default_rng(seed)
         self.layers: dict[str, L.Layer] = {}
-        self._slot = {name: i for i, (name, _) in enumerate(spec.inputs)}
+        position = {name: i for i, (name, _) in enumerate(spec.inputs)}
         plan = []
         for node in self.order:
             in_shapes = [self.shapes[src] for src in node.inputs]
             cls = node.layer.layer_class
             layer = cls.build(dict(node.layer.hyper), in_shapes, rng, dtype)
             self.layers[node.name] = layer
-            self._slot[node.name] = len(self._slot)
+            position[node.name] = len(position)
             plan.append(PlanStep(node.name, layer,
-                                 tuple(self._slot[src] for src in node.inputs),
-                                 self._slot[node.name], self.shapes[node.name],
-                                 cls.multi_input))
+                                 tuple(position[src] for src in node.inputs),
+                                 self.shapes[node.name]))
         # the step after which no later one reads each slot
         last = {}
         for i, step in enumerate(plan):
@@ -262,8 +265,7 @@ class Model:
             spent.setdefault(i, []).append(slot)
         self.plan = tuple(replace(step, spent=tuple(spent.get(i, ())))
                           for i, step in enumerate(plan))
-        self.output_node = spec.nodes[-1]
-        self.output_kind = self.output_node.layer.kind
+        self.output_kind = spec.nodes[-1].layer.kind
 
     def parameters(self) -> list[tuple[str, "L.Param"]]:
         out = []
@@ -271,9 +273,6 @@ class Model:
             for p in self.layers[node.name].params():
                 out.append((node.name, p))
         return out
-
-    def node_names(self) -> list[str]:
-        return [n.name for n in self.order]
 
     def _check_inputs(self, inputs: dict[str, np.ndarray]) -> int:
         want = {name for name, _ in self.spec.inputs}
@@ -315,29 +314,25 @@ class Model:
             raise GraphError(f"mode must be 'train' or 'eval', got {mode!r}")
         train = mode == "train"
         self._check_inputs(inputs)
-        values: list = [None] * len(self._slot)
-        for name, arr in inputs.items():
-            values[self._slot[name]] = np.asarray(arr, dtype=self.dtype)
+        values = [np.asarray(inputs[name], dtype=self.dtype)
+                  for name, _ in self.spec.inputs]
         for step in self.plan:
-            x = ([values[src] for src in step.srcs] if step.multi_input
+            x = ([values[src] for src in step.srcs] if step.layer.multi_input
                  else values[step.srcs[0]])
-            if observe is None:
-                out = step.layer.forward(x, train)
-            else:
-                t0 = perf_counter_ns()
-                out = step.layer.forward(x, train)
-                elapsed = perf_counter_ns() - t0
+            t0 = perf_counter_ns()
+            out = step.layer.forward(x, train)
+            elapsed = perf_counter_ns() - t0
             if tuple(out.shape[1:]) != step.shape:
                 raise ShapeError(
                     f"node '{step.name}' produced shape {out.shape}, "
                     f"inference said (batch, {', '.join(str(d) for d in step.shape)})"
                 )
-            values[step.slot] = out
+            values.append(out)
             if observe is not None:
                 observe(step.name, out, elapsed)
             for slot in step.spent:
                 values[slot] = None
-        return values[self._slot[self.spec.output]]
+        return values[-1]
 
     def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradient pass in reverse listed order; returns gradients w.r.t.
@@ -346,16 +341,14 @@ class Model:
         backward's. The last forward must have been a training-mode one:
         each layer refuses a backward without its training cache.
         """
-        grads: list = [None] * len(self._slot)
-        grads[self._slot[self.spec.output]] = grad_out
+        grads: list = [None] * (len(self.spec.inputs) + len(self.plan))
+        grads[-1] = grad_out
         for step in reversed(self.plan):
-            g = grads[step.slot]
-            grads[step.slot] = None
-            gi = step.layer.backward(g)
-            parts = gi if step.multi_input else [gi]
+            gi = step.layer.backward(grads.pop())
+            parts = gi if step.layer.multi_input else [gi]
             for src, part in zip(step.srcs, parts):
                 grads[src] = part if grads[src] is None else grads[src] + part
-        return {name: grads[self._slot[name]] for name, _ in self.spec.inputs}
+        return {name: g for (name, _), g in zip(self.spec.inputs, grads)}
 
     def state_tensors(self) -> list[tuple[str, np.ndarray]]:
         """(qualified name, tensor) pairs in node order, for checkpoints."""

@@ -93,7 +93,7 @@ def task_of(model: Model) -> str:
 def _node(model: Model, node: str) -> str:
     """``node``, which must name a node of ``model``: else a GraphError."""
     if node not in model.layers:
-        raise GraphError(f"node '{node}' not in model; available: {model.node_names()}")
+        raise GraphError(f"node '{node}' not in model; available: {list(model.layers)}")
     return node
 
 
@@ -198,7 +198,7 @@ def default_activation_layer(model: Model) -> str:
                   and n.layer.kind == "relu"]
     if candidates:
         return candidates[-1].name
-    return model.output_node.inputs[0]
+    return model.order[-1].inputs[0]
 
 
 def export_activations(model: Model, inputs, targets, path,

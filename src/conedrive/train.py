@@ -16,6 +16,7 @@ from itertools import product
 
 import numpy as np
 
+from .checkpoint import replacing
 from .errors import DivergenceError
 from .graph import Model
 from .layers import smooth_l1, softmax_cross_entropy
@@ -148,17 +149,16 @@ def train(model: Model, train_data, val_data, config: TrainConfig,
 
 
 def write_history(path, result: TrainResult, config: TrainConfig) -> None:
-    """Line-delimited training history: one record per epoch."""
+    """Line-delimited training history: one record per epoch, written whole
+    or not at all (see ``checkpoint.replacing``)."""
     metric = "val_acc" if config.loss == "cross_entropy" else "val_l1"
-    with open(path, "w") as fh:
+    with replacing(path, "w") as fh:
         fh.write(f"# conedrive training history; seed={config.seed} "
                  f"loss={config.loss}\n")
         fh.write(f"epoch\tlr\ttrain_loss\t{metric}\tseconds\n")
         for s in result.history:
             fh.write(f"{s.epoch}\t{s.lr:.12g}\t{s.train_loss:.9g}\t"
                      f"{s.val_metric:.9g}\t{s.seconds:.3f}\n")
-        if result.diverged:
-            fh.write(f"# diverged: {result.divergence_reason}\n")
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,6 @@ def _model_spec(nodes: list[NodeSpec], input_hw: int, *extra_inputs) -> ModelSpe
     return ModelSpec(
         inputs=(("image", (IMAGE_CHANNELS, input_hw, input_hw)),) + extra_inputs,
         nodes=tuple(nodes),
-        output=nodes[-1].name,
     )
 
 

@@ -307,7 +307,7 @@ def test_c11_latency_harness():
     result = bench_forward(model, warmup=50, iters=1000, seed=0)
     gap = abs(result.layer_sum_ns - result.end_to_end_mean_ns)
     within = gap <= 0.10 * result.end_to_end_mean_ns
-    lists_all = [t.name for t in result.layers] == model.node_names()
+    lists_all = [t.name for t in result.layers] == list(model.layers)
     elapsed = time.time() - t0
     report(11, f"4CL-3FC 1000-iter bench: layer sums within 10% of "
                f"end-to-end (gap {100 * gap / result.end_to_end_mean_ns:.1f}%), "

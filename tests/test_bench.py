@@ -21,7 +21,7 @@ def small_report():
 def test_per_layer_count_equals_node_count(small_report):
     model, report = small_report
     assert len(report.layers) == len(model.order)
-    assert [t.name for t in report.layers] == model.node_names()
+    assert [t.name for t in report.layers] == list(model.layers)
 
 
 def test_structure_deterministic_across_reports(small_report):

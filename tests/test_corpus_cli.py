@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conedrive import cli, corpus, data, workers
 from conedrive.bench import hardware_description
 from conedrive.checkpoint import save_checkpoint
-from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_USAGE,
+from conedrive.cli import (EXIT_BAD_INPUT, EXIT_MISSING_INPUT, EXIT_OK, EXIT_RUNTIME,
+                           EXIT_USAGE,
                            build_parser, main)
 from conedrive.corpus import (FRAMES_INDEX, prep_corpus, read_frames_index,
                               read_manifest, write_corpus, write_manifest)
@@ -22,6 +23,7 @@ from conedrive.graph import Model
 from conedrive.ppm import read_ppm
 from conedrive.synth import (FRAME_PERIOD_MS, MIN_FRAMES, motor_raw_for,
                              synth_raw_corpus, synth_track_dataset)
+from conedrive.train import sgd_step
 from conedrive.zoo import (make_brake_throttle_model, make_discrete_model,
                            make_realvalue_model)
 
@@ -45,6 +47,12 @@ def edit_model_text(blob: bytes, old: str, new: str) -> bytes:
     assert old.encode() in blob[24:24 + n]
     text = blob[24:24 + n].replace(old.encode(), new.encode())
     return blob[:20] + struct.pack("<I", len(text)) + text + blob[24 + n:]
+
+
+def history_rows(run) -> list[str]:
+    """The lines of ``run``'s history.tsv without their seconds column."""
+    return [line.rsplit("\t", 1)[0]
+            for line in (run / "history.tsv").read_text().splitlines()]
 
 
 def first_line(blob: bytes) -> bytes:
@@ -97,8 +105,12 @@ MALFORMED_FILES = {
                          "node 'conv1': stride must be >= 1"),
     "checkpoint-dead-node": ("model.ckpt", "eval",
                              lambda b: edit_model_text(
-                                 b, "output head", "node dead relu in=flat\noutput head"),
+                                 b, "node head", "node dead relu in=flat\nnode head"),
                              "'dead' feeds no output"),
+    "checkpoint-output-not-last": ("model.ckpt", "eval",
+                                   lambda b: edit_model_text(b, "output head",
+                                                             "output pool1"),
+                                   "output 'pool1' is not the last node 'head'"),
     "checkpoint-shape": ("model.ckpt", "eval",
                          lambda b: b.replace(b"out_depth=8", b"out_depth=7", 1),
                          "tensor 'conv1/weight' has shape"),
@@ -462,7 +474,7 @@ class TestCli:
 
     def test_augment_subcommand(self, tmp_path):
         out = tmp_path / "aug"
-        code = main(["augment", "--synth", "40", "--image-size", "32",
+        code = main(["augment", "--synth", "100", "--image-size", "32",
                      "--shift-range", "6", "--mixed-size", "20",
                      "--seed", "0", "--out", str(out)])
         assert code == EXIT_OK
@@ -477,11 +489,22 @@ class TestCli:
         if share is not None:
             monkeypatch.setattr(data, "MIXED_NORMAL_SHARE", share)
         out = tmp_path / "aug"
-        assert main(["augment", "--synth", "40", "--image-size", "16",
+        assert main(["augment", "--synth", "100", "--image-size", "16",
                      "--shift-range", "3", "--mixed-size", "20",
                      "--seed", "0", "--out", str(out)]) == EXIT_OK
         assert f"mixed evaluation set ({printed})" in capsys.readouterr().out
         assert len(read_frames_index(out / "mixed" / "frames")[0]) == 20
+
+    def test_augment_mixes_frames_of_the_test_split(self, tmp_path):
+        out = tmp_path / "aug"
+        assert main(["augment", "--synth", "100", "--image-size", "16",
+                     "--shift-range", "3", "--mixed-size", "20",
+                     "--seed", "0", "--out", str(out)]) == EXIT_OK
+        test = split_60_20_20(synth_track_dataset(100, 16, 0), 0).test
+        held_out = {f"{p.record.timestamp:.1f}" for p in test}
+        mixed = read_frames_index(out / "mixed" / "frames")[1]
+        assert len(mixed) == 20
+        assert {f"{stamp:.1f}" for stamp in mixed} <= held_out
 
     def test_gridsearch_subcommand(self, tmp_path):
         out = tmp_path / "grid"
@@ -742,6 +765,53 @@ class TestCli:
         assert code == EXIT_OK
         history = (out2 / "history.tsv").read_text().splitlines()
         assert history[2].startswith("2\t")  # epoch counter resumed at 2
+
+    # real 3CL-2FC on 36 training frames in batches of 8: 4 steps an epoch
+    SMALL_TRAIN = ["train", "--task", "real", "--synth", "60", "--image-size", "16",
+                   "--batch-size", "8", "--seed", "0"]
+
+    def test_a_diverged_train_keeps_the_last_completed_epoch(self, tmp_path, capsys,
+                                                             monkeypatch):
+        one = tmp_path / "one"
+        assert main([*self.SMALL_TRAIN, "--epochs", "1", "--out", str(one)]) == EXIT_OK
+        steps = []
+
+        def nan_at_epoch_1_step_2(model, lr):
+            steps.append(lr)
+            if len(steps) == 6:
+                model.parameters()[-1][1].grad[0] = np.nan
+            sgd_step(model, lr)
+
+        monkeypatch.setattr("conedrive.train.sgd_step", nan_at_epoch_1_step_2)
+        out = tmp_path / "diverged"
+        assert main([*self.SMALL_TRAIN, "--epochs", "2", "--out", str(out)]) \
+            == EXIT_RUNTIME
+        assert (out / "model.ckpt").read_bytes() == (one / "model.ckpt").read_bytes()
+        assert history_rows(out) == history_rows(one)
+        err = capsys.readouterr().err
+        assert "epoch 1: non-finite gradient" in err, err
+        assert f"{out / 'model.ckpt'} holds the model at the end of epoch 0" in err, err
+
+    def test_an_interrupted_train_resumes_as_an_uninterrupted_one(self, tmp_path,
+                                                                  monkeypatch):
+        whole = tmp_path / "whole"
+        assert main([*self.SMALL_TRAIN, "--epochs", "3", "--out", str(whole)]) == EXIT_OK
+        def killed_in_epoch_2(model, lr):
+            if model.epoch == 2:
+                raise KeyboardInterrupt
+            sgd_step(model, lr)
+
+        monkeypatch.setattr("conedrive.train.sgd_step", killed_in_epoch_2)
+        cut = tmp_path / "cut"
+        with pytest.raises(KeyboardInterrupt):
+            main([*self.SMALL_TRAIN, "--epochs", "3", "--out", str(cut)])
+        monkeypatch.undo()
+        resumed = tmp_path / "resumed"
+        assert main([*self.SMALL_TRAIN, "--epochs", "1", "--resume",
+                     str(cut / "model.ckpt"), "--out", str(resumed)]) == EXIT_OK
+        assert (resumed / "model.ckpt").read_bytes() == (whole / "model.ckpt").read_bytes()
+        assert history_rows(resumed)[-1] == history_rows(whole)[-1]
+        assert history_rows(resumed)[-1].startswith("2\t")
 
     def test_resume_takes_the_task_from_the_checkpoint(self, tmp_path):
         # and the input size: the frames are synthesized at 16x16
@@ -1070,15 +1140,15 @@ class TestCli:
         assert not out.exists()
 
     def test_mixed_size_beyond_the_split_is_a_usage_error(self, tmp_path, capsys):
-        # --synth 20 puts 12 frames in train: a mix of 14 takes 2 normal and
-        # 12 shifted frames, one of 15 needs 13 shifted
+        # --synth 20 puts 4 frames in test: a mix of 5 takes 1 normal and
+        # 4 shifted frames, one of 6 needs 5 shifted
         argv = ["augment", "--synth", "20", "--image-size", "16", "--shift-range", "3"]
-        assert main([*argv, "--mixed-size", "14", "--out", str(tmp_path / "fits")]) \
+        assert main([*argv, "--mixed-size", "5", "--out", str(tmp_path / "fits")]) \
             == EXIT_OK
         out = tmp_path / "a"
-        assert main([*argv, "--mixed-size", "15", "--out", str(out)]) == EXIT_USAGE
+        assert main([*argv, "--mixed-size", "6", "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "--mixed-size 15: " in err and "have 12/12" in err, err
+        assert "--mixed-size 6: " in err and "have 4/4" in err, err
         assert [p.name for p in out.iterdir()] == ["run_info.txt"]
 
     @pytest.mark.parametrize("argv,message", [

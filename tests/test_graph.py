@@ -26,7 +26,7 @@ def tiny_dag():
         NodeSpec("join", spec("concat"), ("a", "b")),
         NodeSpec("out", spec("linear", out_features=2), ("join",)),
     )
-    return ModelSpec((("image", (1, 5, 5)),), nodes, "out")
+    return ModelSpec((("image", (1, 5, 5)),), nodes)
 
 
 class TestLayerSpec:
@@ -50,12 +50,12 @@ class TestModelSpecValidation:
             NodeSpec("b", spec("relu"), ("a",)),
         )
         with pytest.raises(GraphError, match="cycle"):
-            ModelSpec((("image", (1, 4, 4)),), nodes, "a")
+            ModelSpec((("image", (1, 4, 4)),), nodes)
 
     def test_unknown_source_rejected(self):
         nodes = (NodeSpec("a", spec("relu"), ("ghost",)),)
         with pytest.raises(GraphError, match="unknown input"):
-            ModelSpec((("image", (1, 4, 4)),), nodes, "a")
+            ModelSpec((("image", (1, 4, 4)),), nodes)
 
     def test_duplicate_names_rejected(self):
         nodes = (
@@ -63,13 +63,13 @@ class TestModelSpecValidation:
             NodeSpec("a", spec("relu"), ("image",)),
         )
         with pytest.raises(GraphError, match="duplicate"):
-            ModelSpec((("image", (1, 4, 4)),), nodes, "a")
+            ModelSpec((("image", (1, 4, 4)),), nodes)
 
     @pytest.mark.parametrize("inputs, nodes, says", [
         # a second linear beside the output would run on every forward and
         # never train
-        ((("x", (4,)),), (NodeSpec("a", spec("linear", out_features=3), ("x",)),
-                          NodeSpec("dead", spec("linear", out_features=2), ("x",))),
+        ((("x", (4,)),), (NodeSpec("dead", spec("linear", out_features=2), ("x",)),
+                          NodeSpec("a", spec("linear", out_features=3), ("x",))),
          "'dead' feeds no output"),
         ((("image", (1, 4, 4)), ("motor", (2,))),
          (NodeSpec("a", spec("relu"), ("image",)),), "'motor' feeds no output"),
@@ -81,17 +81,48 @@ class TestModelSpecValidation:
     def test_spec_outside_run_order_or_off_the_output_path_rejected(
             self, inputs, nodes, says):
         with pytest.raises(GraphError, match=says):
-            ModelSpec(inputs, nodes, "a")
+            ModelSpec(inputs, nodes)
 
-    def test_missing_output_rejected(self):
-        nodes = (NodeSpec("a", spec("relu"), ("image",)),)
-        with pytest.raises(GraphError, match="output node"):
-            ModelSpec((("image", (1, 4, 4)),), nodes, "zz")
+    def test_output_line_naming_a_node_not_last_rejected(self):
+        text = (f"{TEXT_HEADER}\ninput image 1x4x4\nnode a relu in=image\n"
+                "node b relu in=a\noutput a\n")
+        with pytest.raises(GraphError, match="output 'a' is not the last node 'b'"):
+            ModelSpec.from_text(text)
 
     def test_text_roundtrip(self):
         model_spec = tiny_dag()
         again = ModelSpec.from_text(model_spec.to_text())
         assert again == model_spec
+
+    def test_brake_throttle_text_is_pinned(self):
+        """The v1 model text checkpoints embed, byte for byte."""
+        assert make_brake_throttle_model(input_hw=32).to_text() == (
+            "conedrive-model v1\n"
+            "input image 3x32x32\n"
+            "input motor 2\n"
+            "node conv1 conv in=image out_depth=8 kernel=5 stride=2\n"
+            "node bn1 batchnorm in=conv1\n"
+            "node relu1 relu in=bn1\n"
+            "node pool1 maxpool in=relu1 window=2 stride=2\n"
+            "node conv2 conv in=pool1 out_depth=16 kernel=5 stride=2\n"
+            "node bn2 batchnorm in=conv2\n"
+            "node relu2 relu in=bn2\n"
+            "node pool2 maxpool in=relu2 window=2 stride=2\n"
+            "node conv3 conv in=pool2 out_depth=32 kernel=1 stride=1\n"
+            "node bn3 batchnorm in=conv3\n"
+            "node relu3 relu in=bn3\n"
+            "node conv4 conv in=relu3 out_depth=48 kernel=1 stride=1\n"
+            "node bn4 batchnorm in=conv4\n"
+            "node relu4 relu in=bn4\n"
+            "node flat flatten in=relu4\n"
+            "node join concat in=flat,motor\n"
+            "node fc1 linear in=join out_features=1024\n"
+            "node fc1_relu relu in=fc1\n"
+            "node fc2 linear in=fc1_relu out_features=100\n"
+            "node fc2_relu relu in=fc2\n"
+            "node out_linear linear in=fc2_relu out_features=2\n"
+            "node out_sigmoid scaled_sigmoid in=out_linear scale=256.0\n"
+            "output out_sigmoid\n")
 
     def test_text_roundtrip_with_floats(self):
         model_spec = make_realvalue_model("3CL-2FC", input_hw=64)
@@ -126,7 +157,7 @@ class TestShapeInference:
             seen = {}
             model.forward(inputs, mode="eval",
                           observe=lambda node, out, _: seen.setdefault(node, out.shape[1:]))
-            assert seen == {node: shapes[node] for node in model.node_names()}, name
+            assert seen == {node: shapes[node] for node in model.layers}, name
 
     def test_1cl_1fc_full_scale_counts(self):
         model_spec = make_discrete_model("1CL-1FC", input_hw=256)
@@ -279,7 +310,7 @@ class TestForward:
         nodes = list(first.nodes)
         ia = next(i for i, n in enumerate(nodes) if n.name == "a")
         nodes[ia], nodes[ia + 1] = nodes[ia + 1], nodes[ia]
-        second = ModelSpec(first.inputs, tuple(nodes), first.output)
+        second = ModelSpec(first.inputs, tuple(nodes))
         model_a, model_b = Model(first, seed=3), Model(second, seed=3)
         names = [n.name for n in model_b.order]
         assert names.index("b") < names.index("a")

@@ -188,7 +188,7 @@ def assert_same(got, want):
 def probe_spec(layer, image_shape):
     """One node, "probe", on an image input of the given batchless shape."""
     return ModelSpec((("image", image_shape),),
-                     (NodeSpec("probe", layer, ("image",)),), "probe")
+                     (NodeSpec("probe", layer, ("image",)),))
 
 
 def make_conv(in_depth, out_depth, kernel, stride, seed=0, dtype=np.float64):

@@ -32,7 +32,7 @@ def one_node_model(layer, in_shape, state=()) -> Model:
     tensor) pairs as ``Layer.state()`` lists them, loaded over the seeded
     ones."""
     model = Model(ModelSpec((("x", tuple(in_shape)),),
-                            (NodeSpec("node", layer, ("x",)),), "node"),
+                            (NodeSpec("node", layer, ("x",)),)),
                   dtype=np.float64)
     if state:
         model.load_state_tensors({f"node/{name}": value for name, value in state})
